@@ -23,7 +23,7 @@
 
 use crate::trace::Tracer;
 use crate::{
-    median_peak_rss, pass_seed, ratio, repeat_for, same_bits, setup_secs, Layers, Metric,
+    check_config, median_peak_rss, pass_seed, ratio, repeat_for, same_bits, Layers, Metric,
     RunReport, POLICY_LABELS,
 };
 use colocate::harness::{evaluate_scenario_multi, trained_systems_for, BaselineCache, RunConfig};
@@ -295,9 +295,9 @@ fn figures(folds: &Folds, replays_per_s: f64) -> Vec<Metric> {
 }
 
 /// The untraced run: `evaluate_scenario_multi` passes for `seconds`,
-/// each drawing fresh mixes from [`pass_seed`]; then every pass is
-/// reproduced, checked bitwise and its engine events counted; then the
-/// set-up is timed.
+/// each drawing fresh mixes from [`pass_seed`], with set-ups timed
+/// between them; then every pass is reproduced, checked bitwise and its
+/// engine events counted.
 ///
 /// # Errors
 ///
@@ -310,21 +310,27 @@ pub fn run(
     seconds: f64,
 ) -> Result<RunReport, ColocateError> {
     let catalog = Catalog::paper();
-    let passes = repeat_for(seconds, |k| {
-        let pass_seed = pass_seed(seed, k);
-        (pass_seed, entry_pass(&catalog, config, spec, pass_seed))
-    });
+    let timed = repeat_for(
+        seconds,
+        || setup(config, seed),
+        |k| {
+            let pass_seed = pass_seed(seed, k);
+            (pass_seed, entry_pass(&catalog, config, spec, pass_seed))
+        },
+    )?;
+    let passes = &timed.reps;
 
     let mut failed = 0;
     let mut events = 0;
     let mut wall = 0.0;
     let mut pass0 = None;
-    for rep in &passes {
+    let check = check_config(config);
+    for rep in passes {
         let (pass_seed, out) = &rep.out;
         wall += rep.wall_s;
-        let systems = trained_systems_for(&POLICIES, &catalog, config, *pass_seed)?;
+        let systems = trained_systems_for(&POLICIES, &catalog, &check, *pass_seed)?;
         let (reference, counters) =
-            reproduce(&catalog, config, &systems, spec, *pass_seed, &Tracer::new())?;
+            reproduce(&catalog, &check, &systems, spec, *pass_seed, &Tracer::new())?;
         events += counters.events.iter().sum::<u64>();
         failed += match out {
             Ok(folds) => count_failures(&reference, folds, spec),
@@ -332,7 +338,6 @@ pub fn run(
         };
         pass0.get_or_insert(reference);
     }
-    let setup_s = setup_secs(|| setup(config, seed))?;
     let attempted = spec.replays() * passes.len() as u64;
     let pass0 = pass0.expect("at least one pass ran");
     Ok(RunReport {
@@ -340,13 +345,13 @@ pub fn run(
         attempted,
         failed,
         metrics: vec![
-            Metric::new("setup_s", setup_s, "s"),
-            Metric::new("peak_rss_mb", median_peak_rss(&passes), "MB"),
-            Metric::new("throughput_per_s", events as f64 / wall, "1/s"),
+            Metric::new("setup_s", timed.reference_secs(timed.setup_s), "s"),
+            Metric::new("peak_rss_mb", median_peak_rss(passes), "MB"),
+            Metric::new("throughput_per_s", timed.reference_rate(events as f64 / wall), "1/s"),
         ],
-        figures: figures(&pass0, attempted as f64 / wall),
+        figures: [figures(&pass0, attempted as f64 / wall), timed.host_figures()].concat(),
         notes: vec![format!(
-            "campaign: {} scenarios x {} mixes x {} policies = {} replays per pass; {} passes, {attempted} replays, {events} engine events in {wall:.2} s; throughput = engine events per wall second",
+            "campaign: {} scenarios x {} mixes x {} policies = {} replays per pass; {} passes, {attempted} replays, {events} engine events in {wall:.2} s; throughput_per_s = engine events per reference second (wall rate x host.unit_s / 10 ms)",
             spec.scenarios.len(),
             spec.mixes,
             POLICIES.len(),

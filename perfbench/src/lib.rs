@@ -18,6 +18,7 @@
 //! every output against a reference and count failed operations.
 
 pub mod campaign;
+pub mod host;
 pub mod serve;
 pub mod storm;
 pub mod trace;
@@ -234,27 +235,15 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     colocate::metrics::try_percentile(xs, p).unwrap_or(0.0)
 }
 
-/// Wall time spent repeating the set-up, so that its median is steady
-/// even for millisecond set-ups.
-const SETUP_BUDGET_SECS: f64 = 0.5;
+/// Share of a run's wall time spent timing set-ups, and again timing
+/// host-calibration units. Both are spread between the passes, so their
+/// medians cover the whole run rather than one stretch of it: on a shared
+/// host the speed moves by more than half in bursts of a fraction of a
+/// second to a few seconds.
+const SAMPLE_SHARE: f64 = 0.04;
 
-/// Runs `setup` repeatedly, timing each, for [`SETUP_BUDGET_SECS`] and at
-/// least five times, and returns the median time in seconds. Workloads
-/// call it after their timed passes, on a warmed-up host.
-///
-/// # Errors
-///
-/// Propagates the first failing set-up.
-pub fn setup_secs<T, E>(mut setup: impl FnMut() -> Result<T, E>) -> Result<f64, E> {
-    let start = Instant::now();
-    let mut secs = Vec::new();
-    while secs.len() < 5 || start.elapsed().as_secs_f64() < SETUP_BUDGET_SECS {
-        let t0 = Instant::now();
-        std::hint::black_box(setup()?);
-        secs.push(t0.elapsed().as_secs_f64());
-    }
-    Ok(median(&secs))
-}
+/// Fewest set-ups, and fewest calibration units, timed in a run.
+const MIN_SAMPLES: usize = 9;
 
 /// One timed repetition of a workload's pass.
 #[derive(Debug)]
@@ -267,15 +256,87 @@ pub struct Rep<T> {
     pub peak_rss_mb: f64,
 }
 
+/// The timed repetitions of a run, its set-up time and the host's speed.
+#[derive(Debug)]
+pub struct Timed<T> {
+    /// The passes, in order.
+    pub reps: Vec<Rep<T>>,
+    /// Median wall time of one set-up, seconds.
+    pub setup_s: f64,
+    /// Median wall time of one [`host::Unit::run`], seconds.
+    pub unit_s: f64,
+}
+
+impl<T> Timed<T> {
+    /// Wall seconds measured in this run as reference seconds (see
+    /// [`host`]).
+    #[must_use]
+    pub fn reference_secs(&self, wall_s: f64) -> f64 {
+        wall_s * host::REFERENCE_UNIT_SECS / self.unit_s
+    }
+
+    /// A rate per wall second measured in this run as a rate per
+    /// reference second (see [`host`]).
+    #[must_use]
+    pub fn reference_rate(&self, per_wall_s: f64) -> f64 {
+        per_wall_s * self.unit_s / host::REFERENCE_UNIT_SECS
+    }
+
+    /// The run's wall-clock readings behind the reference figures: the
+    /// calibration unit's median time and the set-up's.
+    #[must_use]
+    pub fn host_figures(&self) -> Vec<Metric> {
+        vec![
+            Metric::new("host.unit_s", self.unit_s, "s"),
+            Metric::new("host.setup_wall_s", self.setup_s, "s"),
+        ]
+    }
+}
+
+/// Times `f` once, appending its wall time to `secs`.
+fn sample<S, E>(secs: &mut Vec<f64>, f: impl FnOnce() -> Result<S, E>) -> Result<(), E> {
+    let t0 = Instant::now();
+    std::hint::black_box(f()?);
+    secs.push(t0.elapsed().as_secs_f64());
+    Ok(())
+}
+
 /// Repeats `rep(k)` for `k = 0, 1, …` until `seconds` of wall time have
-/// passed (at least once), timing each repetition. Before each one the
-/// process's peak-RSS mark is reset (`/proc/self/clear_refs`), so each
-/// carries its own peak; where the reset is refused every repetition
+/// passed (at least once), timing each repetition, and times `setup` and
+/// a [`host::Unit`] between them: before each pass until each has taken
+/// [`SAMPLE_SHARE`] of the elapsed time (each at least once), and after
+/// the last pass until each was timed [`MIN_SAMPLES`] times. Before each
+/// pass the process's peak-RSS mark is reset (`/proc/self/clear_refs`), so
+/// each carries its own peak; where the reset is refused every repetition
 /// reads the whole process's peak instead.
-pub fn repeat_for<T>(seconds: f64, mut rep: impl FnMut(u64) -> T) -> Vec<Rep<T>> {
+///
+/// # Errors
+///
+/// Propagates the first failing set-up.
+pub fn repeat_for<T, S, E>(
+    seconds: f64,
+    mut setup: impl FnMut() -> Result<S, E>,
+    mut rep: impl FnMut(u64) -> T,
+) -> Result<Timed<T>, E> {
     let start = Instant::now();
+    let (mut setup_secs, mut unit_secs) = (Vec::new(), Vec::new());
+    let mut unit = host::Unit::new();
     let mut reps = Vec::new();
     while reps.is_empty() || start.elapsed().as_secs_f64() < seconds {
+        // Each kind is timed at least once, then until it has had its
+        // share of the elapsed time.
+        loop {
+            sample(&mut setup_secs, &mut setup)?;
+            if setup_secs.iter().sum::<f64>() >= SAMPLE_SHARE * start.elapsed().as_secs_f64() {
+                break;
+            }
+        }
+        loop {
+            sample(&mut unit_secs, || Ok::<_, E>(unit.run()))?;
+            if unit_secs.iter().sum::<f64>() >= SAMPLE_SHARE * start.elapsed().as_secs_f64() {
+                break;
+            }
+        }
         let _ = std::fs::write("/proc/self/clear_refs", "5");
         let t0 = Instant::now();
         let out = rep(reps.len() as u64);
@@ -286,7 +347,17 @@ pub fn repeat_for<T>(seconds: f64, mut rep: impl FnMut(u64) -> T) -> Vec<Rep<T>>
             peak_rss_mb: peak_rss_mb(),
         });
     }
-    reps
+    while setup_secs.len() < MIN_SAMPLES {
+        sample(&mut setup_secs, &mut setup)?;
+    }
+    while unit_secs.len() < MIN_SAMPLES {
+        sample(&mut unit_secs, || Ok::<_, E>(unit.run()))?;
+    }
+    Ok(Timed {
+        reps,
+        setup_s: median(&setup_secs),
+        unit_s: median(&unit_secs),
+    })
 }
 
 /// Peak resident set size of this process (`VmHWM`), MB; 0 when
@@ -330,7 +401,24 @@ pub fn pass_seed(seed: u64, k: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Worker threads for every fan-out: the host's available parallelism.
+/// Worker threads for every fan-out (`RunConfig::workers`). One: on a
+/// shared host of a few cores a second thread measures the neighbours more
+/// than the program, and the host calibration ([`host`]) tracks a single
+/// thread's speed closely but two threads' only loosely.
+pub const WORKERS: usize = 1;
+
+/// `config` with every core of the host, for the untimed reproductions
+/// that check a run's passes: campaign and service results are identical
+/// for every worker count, so the check also covers that.
+#[must_use]
+pub fn check_config(config: &colocate::harness::RunConfig) -> colocate::harness::RunConfig {
+    colocate::harness::RunConfig {
+        workers: Some(host_workers()),
+        ..config.clone()
+    }
+}
+
+/// The host's available parallelism, recorded as `nproc`.
 #[must_use]
 pub fn host_workers() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)

@@ -158,7 +158,8 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let workers = spark_moe_perfbench::host_workers();
+    let nproc = spark_moe_perfbench::host_workers();
+    let workers = spark_moe_perfbench::WORKERS;
     let config = RunConfig {
         workers: Some(workers),
         ..RunConfig::default()
@@ -184,7 +185,7 @@ fn main() -> ExitCode {
     let provenance = format!(
         "{{\"commit\": {}, \"nproc\": {}, \"workers\": {workers}, \"workload\": {}, \"seed\": {seed}, \"seconds\": {}, \"trace\": {}}}",
         json_str(&commit()),
-        workers,
+        nproc,
         json_str(&args.workload),
         json_num(secs),
         args.trace

@@ -15,10 +15,7 @@
 //! region.
 
 use crate::trace::Tracer;
-use crate::{
-    median_peak_rss, percentile, ratio, repeat_for, same_bits, setup_secs, Layers, Metric,
-    RunReport,
-};
+use crate::{median_peak_rss, percentile, ratio, repeat_for, same_bits, Layers, Metric, RunReport};
 use colocate::harness::{trained_system_for, RunConfig};
 use colocate::predictors::PredictionTable;
 use colocate::scheduler::PolicyKind;
@@ -269,8 +266,8 @@ fn figures(throughput: f64, p50_us: f64, p99_us: f64) -> Vec<Metric> {
 }
 
 /// The untraced run: deployment, the stream and its oracle, then passes
-/// for `seconds`, each checked against the oracle and dropped; then the
-/// set-up (catalog, training, artifact round trip) is timed.
+/// for `seconds`, each checked against the oracle and dropped, with the
+/// set-up (catalog, training, artifact round trip) timed between them.
 ///
 /// # Errors
 ///
@@ -293,7 +290,7 @@ pub fn run(
 
     // Each pass is checked and dropped inside its repetition, so only one
     // pass's table is ever resident.
-    let passes = repeat_for(seconds, |_| {
+    let timed = repeat_for(seconds, setup, |_| {
         pass(&served, stream.inputs(), false).map(|p| {
             (
                 count_failures(&stream, &oracle, &p.selections),
@@ -301,11 +298,12 @@ pub fn run(
                 p.dispatch_s,
             )
         })
-    });
+    })?;
+    let passes = &timed.reps;
     let mut failed = 0;
     let mut wall = 0.0;
     let mut dispatch_us = Vec::new();
-    for rep in &passes {
+    for rep in passes {
         match &rep.out {
             Ok((f, secs, dispatch_s)) => {
                 failed += f;
@@ -315,7 +313,6 @@ pub fn run(
             Err(_) => failed += spec.requests as u64,
         }
     }
-    let setup_s = setup_secs(setup)?;
     let attempted = (spec.requests * passes.len()) as u64;
     let throughput = ratio(attempted as f64, wall);
     let (p50, p99) = (
@@ -327,11 +324,11 @@ pub fn run(
         attempted,
         failed,
         metrics: vec![
-            Metric::new("setup_s", setup_s, "s"),
-            Metric::new("peak_rss_mb", median_peak_rss(&passes), "MB"),
-            Metric::new("throughput_per_s", throughput, "1/s"),
+            Metric::new("setup_s", timed.reference_secs(timed.setup_s), "s"),
+            Metric::new("peak_rss_mb", median_peak_rss(passes), "MB"),
+            Metric::new("throughput_per_s", timed.reference_rate(throughput), "1/s"),
         ],
-        figures: figures(throughput, p50, p99),
+        figures: [figures(throughput, p50, p99), timed.host_figures()].concat(),
         notes: vec![
             format!(
                 "serve: {} requests per pass ({} distinct), max_batch {}, {} passes",
@@ -341,7 +338,7 @@ pub fn run(
                 passes.len()
             ),
             format!(
-                "throughput = requests per wall second of the client loop; dispatch latency = wall us per dispatching call, {} samples",
+                "throughput_per_s = requests per reference second of the client loop (wall rate x host.unit_s / 10 ms); dispatch latency = wall us per dispatching call, {} samples",
                 dispatch_us.len()
             ),
         ],

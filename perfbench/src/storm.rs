@@ -11,13 +11,17 @@
 //! traced run calls `run_service` per replication directly and must fold
 //! to bitwise the same statistics.
 //!
-//! An operation is one arrival. An arrival fails when it is shed or never
-//! finishes, when its replication returns `Err`, or when the pass's fold
-//! differs from the reference (then every arrival of the pass fails).
+//! An operation is one arrival. Shedding is the admission gate's designed
+//! answer to overload, checked bitwise like every other outcome, so a shed
+//! arrival is a handled one. An arrival fails when it is lost (neither
+//! finished nor shed), when its replication returns `Err`, or when the
+//! pass's fold differs from the reference (then every arrival of the pass
+//! fails).
 
 use crate::trace::Tracer;
 use crate::{
-    median_peak_rss, pass_seed, ratio, repeat_for, same_bits, setup_secs, Layers, Metric, RunReport,
+    check_config, median_peak_rss, pass_seed, ratio, repeat_for, same_bits, Layers, Metric,
+    RunReport,
 };
 use colocate::harness::{
     isolated_times_custom, trained_system_for, BaselineCache, ChaosSpec, RunConfig,
@@ -254,10 +258,10 @@ impl StormFold {
             && same_bits(self.faults.slices_requeued_gb, o.faults.slices_requeued_gb)
     }
 
-    /// Failed arrivals: shed or unfinished.
+    /// Failed arrivals: those lost, neither finished nor shed.
     #[must_use]
     pub fn failed(&self) -> u64 {
-        (self.arrivals - self.finished) as u64
+        self.arrivals.saturating_sub(self.finished + self.shed) as u64
     }
 
     /// Internal consistency, the check for passes without a
@@ -272,7 +276,7 @@ impl StormFold {
 }
 
 /// Failed arrivals of a pass checked against the reference: every arrival
-/// fails on a mismatch, otherwise the shed and unfinished ones.
+/// fails on a mismatch, otherwise the lost ones.
 #[must_use]
 pub fn count_failures(reference: &StormFold, got: &StormFold) -> u64 {
     if got.same(reference) {
@@ -437,14 +441,19 @@ fn figures(fold: &StormFold, arrivals_per_s: f64) -> Vec<Metric> {
         Metric::new("storm.arrivals_per_s", arrivals_per_s, "1/s"),
         Metric::new("storm.slowdown_p50", fold.floats[0], "x"),
         Metric::new("storm.slowdown_p99", fold.floats[2], "x"),
+        Metric::new(
+            "storm.shed_pct",
+            ratio(100.0 * fold.shed as f64, fold.arrivals as f64),
+            "%",
+        ),
         Metric::new("storm.oom_kills", fold.oom_kills as f64, "count"),
     ]
 }
 
 /// The untraced run: `evaluate_openloop` passes for `seconds`, each
-/// drawing fresh plans from [`pass_seed`]; then pass 0 is checked bitwise
-/// against a reproduction and later passes for internal consistency; then
-/// the set-up is timed.
+/// drawing fresh plans from [`pass_seed`], with set-ups timed between
+/// them; then pass 0 is checked bitwise against a reproduction and later
+/// passes for internal consistency.
 ///
 /// # Errors
 ///
@@ -457,12 +466,15 @@ pub fn run(
     seconds: f64,
 ) -> Result<RunReport, ColocateError> {
     let (catalog, open, system, plans) = setup(config, spec, seed)?;
-    let passes = repeat_for(seconds, |k| {
-        entry_pass(&catalog, config, &open, pass_seed(seed, k))
-    });
+    let timed = repeat_for(
+        seconds,
+        || setup(config, spec, seed),
+        |k| entry_pass(&catalog, config, &open, pass_seed(seed, k)),
+    )?;
+    let passes = &timed.reps;
     let (reference, _) = reproduce(
         &catalog,
-        config,
+        &check_config(config),
         system.as_ref(),
         &open,
         &plans,
@@ -496,20 +508,19 @@ pub fn run(
             }
         }
     }
-    let setup_s = setup_secs(|| setup(config, spec, seed))?;
     let throughput = attempted as f64 / wall;
     Ok(RunReport {
         correct,
         attempted,
         failed,
         metrics: vec![
-            Metric::new("setup_s", setup_s, "s"),
-            Metric::new("peak_rss_mb", median_peak_rss(&passes), "MB"),
-            Metric::new("throughput_per_s", throughput, "1/s"),
+            Metric::new("setup_s", timed.reference_secs(timed.setup_s), "s"),
+            Metric::new("peak_rss_mb", median_peak_rss(passes), "MB"),
+            Metric::new("throughput_per_s", timed.reference_rate(throughput), "1/s"),
         ],
-        figures: figures(&reference, throughput),
+        figures: [figures(&reference, throughput), timed.host_figures()].concat(),
         notes: vec![format!(
-            "storm: {} replications per pass, pass 0 {} arrivals ({} finished, {} shed); {} passes, {attempted} arrivals in {wall:.2} s; throughput = arrivals per wall second",
+            "storm: {} replications per pass, pass 0 {} arrivals ({} finished, {} shed); {} passes, {attempted} arrivals in {wall:.2} s; throughput_per_s = arrivals per reference second (wall rate x host.unit_s / 10 ms)",
             open.replications,
             reference.arrivals,
             reference.finished,

@@ -7,7 +7,7 @@ use spark_moe_perfbench::campaign::{self, CampaignSpec};
 use spark_moe_perfbench::serve::{self, ServeSpec, Stream};
 use spark_moe_perfbench::storm::{self, StormSpec};
 use spark_moe_perfbench::trace::Tracer;
-use spark_moe_perfbench::{layer_metric_names, E2E_METRICS};
+use spark_moe_perfbench::{host, layer_metric_names, E2E_METRICS};
 use workloads::Catalog;
 
 const SEED: u64 = 7;
@@ -49,9 +49,9 @@ fn campaign_passes_its_checks_and_catches_a_perturbed_fold() {
 fn storm_passes_its_checks_and_catches_a_perturbed_fold() {
     let (spec, config) = (StormSpec::tiny(), config());
     let run = storm::run(&spec, &config, SEED, 0.01).expect("untraced run");
-    assert!(run.correct, "{:?}", run.notes);
+    assert!(run.correct && run.failed == 0, "{:?}", run.notes);
     let traced = storm::traced(&spec, &config, SEED).expect("traced run");
-    assert!(traced.correct, "{:?}", traced.notes);
+    assert!(traced.correct && traced.failed == 0, "{:?}", traced.notes);
 
     let catalog = Catalog::paper();
     let open = storm::open_spec(&catalog, &config, &spec, SEED).expect("open-loop spec");
@@ -60,8 +60,9 @@ fn storm_passes_its_checks_and_catches_a_perturbed_fold() {
     assert_eq!(
         storm::count_failures(&reference, &reference),
         reference.failed(),
-        "a matching pass fails only its shed and unfinished arrivals"
+        "a matching pass fails only its lost arrivals"
     );
+    assert_eq!(reference.failed(), 0, "every arrival is finished or shed");
     let mut perturbed = reference;
     perturbed.floats[2] = flip(perturbed.floats[2]);
     assert_eq!(
@@ -129,6 +130,14 @@ fn serve_passes_its_checks_and_catches_a_perturbed_oracle() {
         uses,
         "every request for the perturbed observation fails"
     );
+}
+
+#[test]
+fn host_unit_repeats_the_same_work() {
+    let (mut a, mut b) = (host::Unit::new(), host::Unit::new());
+    let first = a.run();
+    assert_eq!(a.run(), first, "a reused unit does the work of a fresh one");
+    assert_eq!(b.run(), first);
 }
 
 #[test]
