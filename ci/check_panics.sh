@@ -1,20 +1,21 @@
 #!/usr/bin/env bash
 # Panic-freedom gate for the crash-consistency-critical paths: the journal
 # layer, the campaign harness, checkpoint codecs, the bench emission
-# helpers, the hot-path cache modules (event queue slab + calendar
-# backend, sharded engine rate cache + tournament tree, monitor window
-# memoization), the mlkit compute kernels, the ML campaign drivers, the
-# scale-sweep workload builders, the open-system layer (arrival plans +
-# admission service), the chaos-search harness (episode generation +
-# shrinking, invariant battery, fig22 driver), the prediction
-# serving path (model artifacts, micro-batching, the firehose and its
-# fig23 driver), and the intra-simulation parallelism layer (the
-# simkit::par primitives and the fig20 threads-axis driver) must not
-# contain `unwrap()` / `expect(` outside test code.
+# helpers, the hot-path cache modules (sharded engine rate cache +
+# tournament tree, monitor window memoization), the mlkit compute
+# kernels, the ML campaign drivers, the scale-sweep workload builders and
+# fig20 driver, the open-system layer (arrival plans + admission
+# service), the chaos-search harness (episode generation + shrinking,
+# invariant battery, fig22 driver), the prediction serving path (model
+# artifacts, micro-batching, the firehose and its fig23 driver), and the
+# campaign fan-out (simkit::par) must not contain `unwrap()` / `expect(`
+# outside test code.
 #
 # Intentional exceptions live in ci/panic_allowlist.txt as
 # `<path>:<needle>` lines; a gated line is tolerated iff it contains the
-# needle verbatim. Keep the list short and justified.
+# needle verbatim. Keep the list short and justified: an entry whose
+# needle matches no runtime line of its gated file fails the gate, so
+# deleting code cannot leave a stale exemption behind.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -27,7 +28,6 @@ GATED_FILES=(
   crates/bench/src/report.rs
   crates/bench/src/csv.rs
   crates/bench/src/lib.rs
-  crates/simkit/src/event.rs
   crates/sparklite/src/engine.rs
   crates/sparklite/src/tourney.rs
   crates/sparklite/src/monitor.rs
@@ -53,11 +53,20 @@ GATED_FILES=(
 ALLOWLIST=ci/panic_allowlist.txt
 fail=0
 
+# Runtime code of a gated file: everything before the unit-test module.
+# These crates keep tests in a trailing `#[cfg(test)]` block by
+# convention, and the gate covers runtime code only.
+runtime_code() {
+  sed '/#\[cfg(test)\]/,$d' "$1"
+}
+
 for f in "${GATED_FILES[@]}"; do
-  # Strip everything from the unit-test module to EOF: the gate covers
-  # runtime code only, and these crates keep tests in a trailing
-  # `#[cfg(test)]` block by convention.
-  hits=$(sed '/#\[cfg(test)\]/,$d' "$f" \
+  if [ ! -f "$f" ]; then
+    echo "PANIC GATE: gated file $f does not exist" >&2
+    fail=1
+    continue
+  fi
+  hits=$(runtime_code "$f" \
     | grep -n '\.unwrap()\|\.expect(' \
     | grep -v 'unwrap_or' || true)
   [ -z "$hits" ] && continue
@@ -83,10 +92,25 @@ for f in "${GATED_FILES[@]}"; do
   done <<< "$hits"
 done
 
+if [ -f "$ALLOWLIST" ]; then
+  while IFS= read -r rule; do
+    case $rule in ''|'#'*) continue ;; esac
+    rule_path=${rule%%:*}
+    rule_needle=${rule#*:}
+    if [ ! -f "$rule_path" ] \
+      || ! runtime_code "$rule_path" | grep -F -- "$rule_needle" >/dev/null; then
+      echo "PANIC GATE: stale allowlist entry (matches no runtime line): $rule" >&2
+      fail=1
+    fi
+  done < "$ALLOWLIST"
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo >&2
-  echo "unwrap()/expect( found in crash-consistency-critical non-test code." >&2
-  echo "Return a typed error instead, or add a justified line to $ALLOWLIST." >&2
+  echo "unwrap()/expect( found in crash-consistency-critical non-test code," >&2
+  echo "or a gated file / allowlist entry that no longer matches the code." >&2
+  echo "Return a typed error instead, or add a justified line to $ALLOWLIST;" >&2
+  echo "drop stale entries and gated paths along with the code they covered." >&2
   exit 1
 fi
 echo "panic gate: clean"

@@ -1,65 +1,26 @@
-//! Cluster-scale micro-benchmarks: the two data structures that decide
-//! whether the simulator core survives 10k-node clusters.
+//! Cluster-scale micro-benchmark: the scheduler's `next_completion` →
+//! `advance` → `complete` → respawn loop against a fully loaded engine,
+//! served by the per-node sharded rate cache and tournament tree.
 //!
-//! * **queue hold churn, heap vs calendar** — steady-state pop-min /
-//!   push-replacement transitions at stationary populations proportional
-//!   to cluster size. The calendar queue's O(1) bucket hops replace the
-//!   heap's `log n` sift per operation.
-//! * **completion churn, whole-placement vs sharded** — the scheduler's
-//!   `next_completion` → `advance` → `complete` → respawn loop. The
-//!   whole-placement mode recomputes every node's rates per event (the
-//!   pre-sharding cost model); the sharded mode touches only dirty shards
-//!   plus a tournament-tree path.
-//!
-//! `fig20_scale` records the same loops as `results/BENCH_scale.json`
+//! `fig20_scale` records the same loop as `results/BENCH_scale.json`
 //! (both measure `bench_suite::scalekit` builders); these Criterion rows
 //! exist for statistically careful spot checks.
 
-use bench_suite::scalekit::{
-    build_queue, completion_step, hold_churn, scale_engine, EXECUTORS_PER_NODE,
-};
+use bench_suite::scalekit::{completion_step, scale_engine, EXECUTORS_PER_NODE};
 use criterion::{criterion_group, criterion_main, Criterion};
-use simkit::QueueBackend;
-use sparklite::engine::RateCacheMode;
-use std::hint::black_box;
-
-fn bench_queue_churn(c: &mut Criterion) {
-    const STEPS: usize = 256;
-    for depth in [1_000usize, 25_000] {
-        for (label, backend) in [
-            ("heap", QueueBackend::Heap),
-            ("calendar", QueueBackend::Calendar),
-        ] {
-            let mut q = build_queue(backend, depth);
-            let mut k = 0usize;
-            c.bench_function(&format!("scale_queue_hold_{label}_{depth}"), |b| {
-                b.iter(|| {
-                    let sum = black_box(hold_churn(&mut q, depth, STEPS, k));
-                    k += STEPS;
-                    sum
-                })
-            });
-        }
-    }
-}
 
 fn bench_completion_churn(c: &mut Criterion) {
     for nodes in [400usize, 4_000] {
-        for (label, mode) in [
-            ("whole", RateCacheMode::WholePlacement),
-            ("sharded", RateCacheMode::Sharded),
-        ] {
-            let mut eng = scale_engine(nodes, mode);
-            let mut k = nodes * EXECUTORS_PER_NODE;
-            c.bench_function(&format!("scale_completion_{label}_{nodes}n"), |b| {
-                b.iter(|| {
-                    completion_step(&mut eng, k);
-                    k += 1;
-                })
-            });
-        }
+        let mut eng = scale_engine(nodes);
+        let mut k = nodes * EXECUTORS_PER_NODE;
+        c.bench_function(&format!("scale_completion_sharded_{nodes}n"), |b| {
+            b.iter(|| {
+                completion_step(&mut eng, k);
+                k += 1;
+            })
+        });
     }
 }
 
-criterion_group!(benches, bench_queue_churn, bench_completion_churn);
+criterion_group!(benches, bench_completion_churn);
 criterion_main!(benches);

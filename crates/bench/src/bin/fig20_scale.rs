@@ -1,60 +1,31 @@
 //! Fig. 20 (extension): simulator-core throughput as the cluster grows —
 //! the scale sweep behind `results/BENCH_scale.json`.
 //!
-//! For each node count (40 / 400 / 4 000 / 40 000) the sweep measures the
-//! two structures the tick loop lives in, each as a before/after pair
-//! inside this one binary:
-//!
-//! * **event queue** — the hold benchmark at a stationary population of
-//!   25 events per node: pop-min / push-replacement transitions (plus
-//!   periodic cancel-and-replace), on the binary-heap backend (before)
-//!   and the calendar queue (after), reporting wall clock, operations per
-//!   second and the peak pending-event depth;
-//! * **engine completion loop** — `next_completion` → `advance` →
-//!   `complete` → respawn events against a fully loaded engine
-//!   (2 executors/node), under the whole-placement rate-cache mode
-//!   (before: every event recomputes every node, the pre-sharding cost
-//!   model) and the sharded mode (after: dirty shards plus a
-//!   tournament-tree path), reporting wall clock and events per second.
-//!
-//! Both modes and both backends replay identical work — the speedups are
-//! pure data-structure effects. A third axis (from the intra-simulation
-//! parallelism work, DESIGN.md §17) measures the sharded cache's batched
-//! rate refresh under placement storms at 1/2/4/8 refresh workers: each
-//! round kills and respawns one executor on every node (dirtying every
-//! shard) and times the single `next_completion` that repays the whole
-//! dirty set. Recorded speedups are real wall clock — on a single-core
-//! host they hover near 1×; the parallel fraction only cashes out on
-//! multi-core hardware. Environment knobs for CI smoke runs:
+//! For each node count (40 / 400 / 4 000 / 40 000) the sweep times the
+//! engine completion loop — `next_completion` → `advance` → `complete` →
+//! respawn events against a fully loaded engine (2 executors/node) with
+//! its per-node sharded rate cache and tournament tree — and reports
+//! wall clock and events per second (median of several samples). The
+//! record names the host's core count; the loop itself is serial.
+//! Environment knobs for CI smoke runs:
 //!
 //! * `SPARK_MOE_SCALE_NODES` — largest node count to include (default
 //!   40 000);
-//! * `SPARK_MOE_SCALE_EVENTS` — cap on completion events and on the queue
-//!   population per scale (default: full sweep sizes);
-//! * `SPARK_MOE_SCALE_CHECK=1` — replace every timing with deterministic
-//!   engine-state digests: stdout and `BENCH_scale.json` become a pure
-//!   function of the sweep configuration, byte-identical at any
-//!   `SPARK_MOE_THREADS` (the CI bit-identity loop compares 1 vs 4);
+//! * `SPARK_MOE_SCALE_EVENTS` — cap on completion events per sample
+//!   (default 20 000);
 //! * `SPARK_MOE_CSV_DIR` — write `BENCH_scale.json` here instead of
 //!   `results/`.
 
 use bench_suite::report::json_num;
-use bench_suite::scalekit::{
-    build_queue, completion_churn, engine_digest, hold_churn, hold_churn_ops, scale_engine,
-    scale_engine_tracked, storm_mutate, EXECUTORS_PER_NODE,
-};
-use simkit::QueueBackend;
-use sparklite::engine::RateCacheMode;
+use bench_suite::scalekit::{completion_churn, scale_engine, EXECUTORS_PER_NODE};
 use std::fmt::Write as _;
-use std::hint::black_box;
 use std::time::Instant;
 
 const SCALES: [usize; 4] = [40, 400, 4_000, 40_000];
-/// Refresh-worker counts for the storm-refresh axis.
-const THREADS: [usize; 4] = [1, 2, 4, 8];
-/// Smallest scale worth a threads axis: below the engine's parallel-path
-/// gate (64 dirty shards) every worker count takes the serial path.
-const THREADS_MIN_NODES: usize = 400;
+/// Timed samples per scale; the record keeps their median.
+const SAMPLES: usize = 5;
+/// Completion events per timed sample.
+const EVENTS: usize = 20_000;
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -63,234 +34,48 @@ fn env_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Median of a sample vector of wall-clock seconds.
-fn median(walls: &mut [f64]) -> f64 {
-    walls.sort_by(f64::total_cmp);
-    walls[walls.len() / 2]
-}
-
-struct QueueSide {
-    wall_secs: f64,
-    ops_per_sec: f64,
-}
-
-struct EngineSide {
+struct ScaleRow {
+    nodes: usize,
+    executors: usize,
+    events: usize,
     wall_secs: f64,
     events_per_sec: f64,
 }
 
-struct ThreadSide {
-    workers: usize,
-    wall_secs: f64,
-    refreshes_per_sec: f64,
-}
-
-struct ScaleRow {
-    nodes: usize,
-    queue_depth: usize,
-    heap: QueueSide,
-    calendar: QueueSide,
-    engine_events: usize,
-    executors: usize,
-    whole: EngineSide,
-    sharded: EngineSide,
-    storm_rounds: usize,
-    /// One entry per [`THREADS`] worker count; empty below
-    /// [`THREADS_MIN_NODES`].
-    threads: Vec<ThreadSide>,
-}
-
-/// Measures heap and calendar hold throughput at `depth` with the two
-/// backends' samples interleaved (heap, calendar, heap, calendar, ...) so
-/// that host-side noise — frequency scaling, a neighbouring tenant — lands
-/// on both backends rather than biasing whichever ran second. Populations
-/// are built outside the timed regions: the hold benchmark measures
-/// steady-state per-operation cost.
-fn measure_queue_pair(depth: usize, steps: usize) -> (QueueSide, QueueSide) {
-    const SAMPLES: usize = 5;
-    let mut heap_q = build_queue(QueueBackend::Heap, depth);
-    let mut cal_q = build_queue(QueueBackend::Calendar, depth);
-    let mut k = 0usize;
-    // Warm both queues into their steady-state event distribution.
-    black_box(hold_churn(&mut heap_q, depth, steps, k));
-    black_box(hold_churn(&mut cal_q, depth, steps, k));
-    k += steps;
-    let mut heap_walls = Vec::with_capacity(SAMPLES);
-    let mut cal_walls = Vec::with_capacity(SAMPLES);
+/// Times `SAMPLES` bursts of `events` completion events against one
+/// engine at `nodes`, after an untimed warm-up burst that populates the
+/// rate cache and faults in the executor storage.
+fn measure(nodes: usize, events: usize) -> ScaleRow {
+    let mut eng = scale_engine(nodes);
+    let mut k = completion_churn(&mut eng, events, nodes * EXECUTORS_PER_NODE);
+    let mut walls = Vec::with_capacity(SAMPLES);
     for _ in 0..SAMPLES {
         let started = Instant::now();
-        black_box(hold_churn(&mut heap_q, depth, steps, k));
-        heap_walls.push(started.elapsed().as_secs_f64());
-        let started = Instant::now();
-        black_box(hold_churn(&mut cal_q, depth, steps, k));
-        cal_walls.push(started.elapsed().as_secs_f64());
-        k += steps;
+        k = completion_churn(&mut eng, events, k);
+        walls.push(started.elapsed().as_secs_f64());
     }
-    let side = |walls: &mut [f64]| {
-        let wall = median(walls);
-        QueueSide {
-            wall_secs: wall,
-            ops_per_sec: hold_churn_ops(steps) as f64 / wall.max(1e-12),
-        }
-    };
-    (side(&mut heap_walls), side(&mut cal_walls))
-}
-
-fn measure_engine(nodes: usize, mode: RateCacheMode, events: usize) -> EngineSide {
-    let mut eng = scale_engine(nodes, mode);
-    let mut k = nodes * EXECUTORS_PER_NODE;
-    // Warm up: populate the cache and fault in the executor storage.
-    k = completion_churn(&mut eng, (events / 10).clamp(1, 200), k);
-    let started = Instant::now();
-    completion_churn(&mut eng, events, k);
-    let wall = started.elapsed().as_secs_f64();
-    EngineSide {
+    walls.sort_by(f64::total_cmp);
+    let wall = walls[SAMPLES / 2];
+    ScaleRow {
+        nodes,
+        executors: nodes * EXECUTORS_PER_NODE,
+        events,
         wall_secs: wall,
         events_per_sec: events as f64 / wall.max(1e-12),
     }
 }
 
-/// Storm rounds at `nodes`: enough refreshed shards to time, bounded so
-/// the whole axis (four worker counts) stays inside the sweep budget.
-fn storm_rounds(nodes: usize, event_cap: usize) -> usize {
-    (400_000 / nodes)
-        .clamp(4, 100)
-        .min((event_cap / nodes).max(1))
-}
-
-/// Measures the storm-refresh axis: per round, an untimed placement storm
-/// dirties every shard, then the single `next_completion` that repays the
-/// whole dirty set is timed. Worker counts share the round budget, each
-/// against a fresh engine pinned to that count.
-fn measure_threads(nodes: usize, rounds: usize) -> Vec<ThreadSide> {
-    THREADS
-        .iter()
-        .map(|&workers| {
-            let (mut eng, mut slots) = scale_engine_tracked(nodes, RateCacheMode::Sharded);
-            eng.set_refresh_workers(workers);
-            let mut k = nodes * EXECUTORS_PER_NODE;
-            // Warm up: one untimed storm faults in caches and arenas.
-            storm_mutate(&mut eng, &mut slots, k);
-            black_box(eng.next_completion());
-            k += nodes;
-            let mut wall = 0.0;
-            for _ in 0..rounds {
-                storm_mutate(&mut eng, &mut slots, k);
-                k += nodes;
-                let started = Instant::now();
-                black_box(eng.next_completion());
-                wall += started.elapsed().as_secs_f64();
-            }
-            ThreadSide {
-                workers,
-                wall_secs: wall,
-                refreshes_per_sec: (rounds * nodes) as f64 / wall.max(1e-12),
-            }
-        })
-        .collect()
-}
-
-fn sweep(max_nodes: usize, event_cap: usize) -> Vec<ScaleRow> {
-    let mut rows = Vec::new();
-    for &nodes in SCALES.iter().filter(|&&n| n <= max_nodes) {
-        let queue_depth = (25 * nodes).min(event_cap);
-        let queue_steps = (4 * queue_depth).clamp(10_000, 2_000_000).min(event_cap);
-        // Event budgets shrink with scale so the "before" mode's O(N)
-        // per-event refresh keeps the sweep under a minute end to end.
-        let engine_events = (2_000_000 / nodes).clamp(50, 4_000).min(event_cap);
-        let rounds = storm_rounds(nodes, event_cap);
-        eprintln!(
-            "fig20: {nodes} nodes — queue depth {queue_depth} ({queue_steps} hold steps), \
-             {engine_events} completion events, {rounds} storm rounds"
-        );
-        let (heap, calendar) = measure_queue_pair(queue_depth, queue_steps);
-        let whole = measure_engine(nodes, RateCacheMode::WholePlacement, engine_events);
-        let sharded = measure_engine(nodes, RateCacheMode::Sharded, engine_events);
-        let threads = if nodes >= THREADS_MIN_NODES {
-            measure_threads(nodes, rounds)
-        } else {
-            Vec::new()
-        };
-        rows.push(ScaleRow {
-            nodes,
-            queue_depth,
-            heap,
-            calendar,
-            engine_events,
-            executors: nodes * EXECUTORS_PER_NODE,
-            whole,
-            sharded,
-            storm_rounds: rounds,
-            threads,
-        });
-    }
-    rows
-}
-
-fn queue_json(side: &QueueSide) -> String {
-    format!(
-        "{{\"wall_secs\":{},\"ops_per_sec\":{}}}",
-        json_num(side.wall_secs),
-        json_num(side.ops_per_sec)
-    )
-}
-
-fn engine_json(side: &EngineSide) -> String {
-    format!(
-        "{{\"wall_secs\":{},\"events_per_sec\":{}}}",
-        json_num(side.wall_secs),
-        json_num(side.events_per_sec)
-    )
-}
-
-fn threads_json(rounds: usize, threads: &[ThreadSide]) -> String {
-    let mut out = format!(",\"storm_rounds\":{rounds},\"threads\":[");
-    for (i, t) in threads.iter().enumerate() {
-        let _ = write!(
-            out,
-            "{}{{\"workers\":{},\"wall_secs\":{},\"refreshes_per_sec\":{}}}",
-            if i > 0 { "," } else { "" },
-            t.workers,
-            json_num(t.wall_secs),
-            json_num(t.refreshes_per_sec)
-        );
-    }
-    out.push(']');
-    let wall_at = |w: usize| threads.iter().find(|t| t.workers == w).map(|t| t.wall_secs);
-    if let (Some(w1), Some(w4)) = (wall_at(1), wall_at(4)) {
-        let _ = write!(
-            out,
-            ",\"speedup_4x_vs_1x\":{}",
-            json_num(w1 / w4.max(1e-12))
-        );
-    }
-    out
-}
-
-fn record_json(rows: &[ScaleRow]) -> String {
-    let mut out = String::from("{\"scales\":[\n");
+fn record_json(rows: &[ScaleRow], cores: usize) -> String {
+    let mut out = format!("{{\"host_cores\":{cores},\"samples\":{SAMPLES},\"scales\":[\n");
     for (i, r) in rows.iter().enumerate() {
-        let threads = if r.threads.is_empty() {
-            String::new()
-        } else {
-            threads_json(r.storm_rounds, &r.threads)
-        };
         let _ = write!(
             out,
-            "{{\"nodes\":{},\
-             \"queue\":{{\"peak_depth\":{},\"heap\":{},\"calendar\":{},\"speedup\":{}}},\
-             \"engine\":{{\"events\":{},\"executors\":{},\"whole_placement\":{},\"sharded\":{},\"speedup\":{}{}}}}}",
+            "{{\"nodes\":{},\"executors\":{},\"events\":{},\"wall_secs\":{},\"events_per_sec\":{}}}",
             r.nodes,
-            r.queue_depth,
-            queue_json(&r.heap),
-            queue_json(&r.calendar),
-            json_num(r.heap.wall_secs / r.calendar.wall_secs.max(1e-12)),
-            r.engine_events,
             r.executors,
-            engine_json(&r.whole),
-            engine_json(&r.sharded),
-            json_num(r.whole.wall_secs / r.sharded.wall_secs.max(1e-12)),
-            threads,
+            r.events,
+            json_num(r.wall_secs),
+            json_num(r.events_per_sec)
         );
         out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
@@ -304,118 +89,36 @@ fn out_dir() -> std::path::PathBuf {
         .unwrap_or_else(|| std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results"))
 }
 
-/// Writes `BENCH_scale.json`. In check mode the destination notice goes
-/// to stderr: stdout must stay a pure function of the sweep
-/// configuration, and the output directory is not part of it.
-fn write_record(record: &str, check: bool) {
-    match bench_suite::fsutil::atomic_write_in(&out_dir(), "BENCH_scale.json", record) {
-        Ok(path) if check => eprintln!("scale record written to {}", path.display()),
-        Ok(path) => println!("scale record written to {}", path.display()),
-        Err(e) => eprintln!("fig20_scale: cannot write BENCH_scale.json: {e}"),
-    }
-}
-
-/// `SPARK_MOE_SCALE_CHECK=1`: replace every timing with deterministic
-/// engine-state digests. The same churn and storm workloads run, but the
-/// output is a pure function of the sweep configuration — the CI
-/// bit-identity loop compares this mode's stdout and JSON at
-/// `SPARK_MOE_THREADS=1` vs `4`, pinning the parallel refresh path's
-/// bit-exactness end to end (the engines here take their worker count
-/// from the environment, exactly as production engines do).
-fn check_sweep(max_nodes: usize, event_cap: usize) {
-    println!("Fig. 20 scale check: deterministic engine digests (no timings)");
-    let mut json = String::from("{\"check\":true,\"scales\":[\n");
-    let scales: Vec<usize> = SCALES.iter().copied().filter(|&n| n <= max_nodes).collect();
-    for (i, &nodes) in scales.iter().enumerate() {
-        let events = (2_000_000 / nodes).clamp(50, 4_000).min(event_cap);
-        let mut churn = Vec::new();
-        for mode in [RateCacheMode::WholePlacement, RateCacheMode::Sharded] {
-            let mut eng = scale_engine(nodes, mode);
-            completion_churn(&mut eng, events, nodes * EXECUTORS_PER_NODE);
-            churn.push(engine_digest(&mut eng));
-        }
-        let (mut eng, mut slots) = scale_engine_tracked(nodes, RateCacheMode::Sharded);
-        let mut k = nodes * EXECUTORS_PER_NODE;
-        let mut storm = 0xcbf2_9ce4_8422_2325u64;
-        for _ in 0..3 {
-            storm_mutate(&mut eng, &mut slots, k);
-            k += nodes;
-            storm = storm.rotate_left(7) ^ engine_digest(&mut eng);
-        }
-        println!(
-            "nodes {nodes}: events {events} churn[whole {:016x} sharded {:016x}] storm {storm:016x}",
-            churn[0], churn[1]
-        );
-        let _ = write!(
-            json,
-            "{{\"nodes\":{nodes},\"events\":{events},\"churn_whole\":\"{:016x}\",\
-             \"churn_sharded\":\"{:016x}\",\"storm\":\"{storm:016x}\"}}",
-            churn[0], churn[1]
-        );
-        json.push_str(if i + 1 < scales.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("]}\n");
-    write_record(&json, true);
-}
-
 fn main() {
     let max_nodes = env_usize("SPARK_MOE_SCALE_NODES", SCALES[SCALES.len() - 1]);
     let event_cap = env_usize("SPARK_MOE_SCALE_EVENTS", usize::MAX);
-    if env_usize("SPARK_MOE_SCALE_CHECK", 0) == 1 {
-        check_sweep(max_nodes, event_cap);
-        return;
-    }
-    let rows = sweep(max_nodes, event_cap);
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
-    println!("Fig. 20: simulator-core throughput vs cluster size");
+    let mut rows = Vec::new();
+    for &nodes in SCALES.iter().filter(|&&n| n <= max_nodes) {
+        let events = EVENTS.min(event_cap);
+        eprintln!("fig20: {nodes} nodes — {SAMPLES} × {events} completion events");
+        rows.push(measure(nodes, events));
+    }
+
+    println!("Fig. 20: simulator-core throughput vs cluster size ({cores} host cores)");
     println!(
-        "{:>7} {:>10} {:>12} {:>12} {:>7} {:>12} {:>12} {:>7}",
-        "nodes", "depth", "heap op/s", "cal op/s", "q spd", "whole ev/s", "shard ev/s", "e spd"
+        "{:>7} {:>10} {:>8} {:>12} {:>12}",
+        "nodes", "executors", "events", "wall s", "events/s"
     );
     for r in &rows {
         println!(
-            "{:>7} {:>10} {:>12.0} {:>12.0} {:>6.2}x {:>12.1} {:>12.1} {:>6.2}x",
-            r.nodes,
-            r.queue_depth,
-            r.heap.ops_per_sec,
-            r.calendar.ops_per_sec,
-            r.heap.wall_secs / r.calendar.wall_secs.max(1e-12),
-            r.whole.events_per_sec,
-            r.sharded.events_per_sec,
-            r.whole.wall_secs / r.sharded.wall_secs.max(1e-12),
+            "{:>7} {:>10} {:>8} {:>12.6} {:>12.0}",
+            r.nodes, r.executors, r.events, r.wall_secs, r.events_per_sec
         );
-    }
-    if rows.iter().any(|r| !r.threads.is_empty()) {
-        println!("Fig. 20 (threads): storm-refresh throughput vs refresh workers (sharded)");
-        println!(
-            "{:>7} {:>7} {:>12} {:>12} {:>12} {:>12} {:>7}",
-            "nodes", "rounds", "w=1 rfr/s", "w=2 rfr/s", "w=4 rfr/s", "w=8 rfr/s", "4x spd"
-        );
-        for r in rows.iter().filter(|r| !r.threads.is_empty()) {
-            let rate = |w: usize| {
-                r.threads
-                    .iter()
-                    .find(|t| t.workers == w)
-                    .map_or(0.0, |t| t.refreshes_per_sec)
-            };
-            let wall = |w: usize| {
-                r.threads
-                    .iter()
-                    .find(|t| t.workers == w)
-                    .map_or(0.0, |t| t.wall_secs)
-            };
-            println!(
-                "{:>7} {:>7} {:>12.0} {:>12.0} {:>12.0} {:>12.0} {:>6.2}x",
-                r.nodes,
-                r.storm_rounds,
-                rate(1),
-                rate(2),
-                rate(4),
-                rate(8),
-                wall(1) / wall(4).max(1e-12),
-            );
-        }
     }
 
-    write_record(&record_json(&rows), false);
+    match bench_suite::fsutil::atomic_write_in(
+        &out_dir(),
+        "BENCH_scale.json",
+        &record_json(&rows, cores),
+    ) {
+        Ok(path) => println!("scale record written to {}", path.display()),
+        Err(e) => eprintln!("fig20_scale: cannot write BENCH_scale.json: {e}"),
+    }
 }

@@ -575,7 +575,7 @@ fn run_schedule_inner(
     // so the resolver scans this short list instead of the whole cluster.
     let mut hot_nodes: Vec<NodeId> = Vec::new();
     // Placement scratch, hoisted out of the per-event placement calls.
-    let mut place_scratch = PlaceScratch::new();
+    let mut place_scratch = PlaceScratch::default();
     let mut guard = 0usize;
     let guard_limit = 200_000usize;
 
@@ -997,38 +997,14 @@ pub(crate) fn build_predictor(
 /// Reusable buffers for [`place_predictive`], owned by the event loop so
 /// per-event placement passes allocate nothing at steady state — the PR 4
 /// ranked/candidate pattern hoisted one level further, out of the call
-/// itself. Also carries the worker budget and fan-out slots for the
-/// storm-sized candidate-ranking pass (DESIGN.md §17).
-#[derive(Debug)]
+/// itself.
+#[derive(Debug, Default)]
 pub(crate) struct PlaceScratch {
-    /// Worker budget for the parallel ranking pass.
-    workers: usize,
     /// Nodes ranked by free memory, rebuilt per water-filling round.
     ranked: Vec<(NodeId, f64)>,
     /// Dynamic-adjustment candidates: `(executor, node, free memory)`.
     candidates: Vec<(sparklite::ExecutorId, NodeId, f64)>,
-    /// Fan-out slots for the parallel ranking pass.
-    rank_out: Vec<Option<Option<(NodeId, f64)>>>,
-    /// Per-worker (stateless) arenas for the ranking fan-out.
-    rank_arenas: Vec<()>,
 }
-
-impl PlaceScratch {
-    pub(crate) fn new() -> Self {
-        PlaceScratch {
-            workers: simkit::par::available_workers(),
-            ranked: Vec::new(),
-            candidates: Vec::new(),
-            rank_out: Vec::new(),
-            rank_arenas: Vec::new(),
-        }
-    }
-}
-
-/// Minimum cluster size before the per-round ranking filter fans across
-/// workers; below this the filter is a few microseconds of pointer
-/// chasing and thread spawn would dominate.
-const PAR_RANK_MIN_NODES: usize = 4096;
 
 /// One placement round at time `t`. Returns the number of *abstain*
 /// placements made (isolated whole-node reservations forced by a tripped
@@ -1268,13 +1244,7 @@ pub(crate) fn place_predictive(
     abstain: bool,
     scratch: &mut PlaceScratch,
 ) -> Result<usize, ColocateError> {
-    let PlaceScratch {
-        workers,
-        ranked,
-        candidates,
-        rank_out,
-        rank_arenas,
-    } = scratch;
+    let PlaceScratch { ranked, candidates } = scratch;
     let mut abstain_placements = 0usize;
     // Graceful degradation: an application that burned through its retry
     // budget gets a whole empty node to itself — the paper's §2.3 answer
@@ -1365,35 +1335,13 @@ pub(crate) fn place_predictive(
             // relative pre-order) visits eligible nodes in exactly the
             // sequence the unfiltered scan did.
             ranked.clear();
-            if *workers > 1 && nodes.len() >= PAR_RANK_MIN_NODES {
-                // Storm-sized cluster: fan the per-node filter and
-                // free-memory read across workers. Survivors are taken in
-                // index order, so the stable sort below sees exactly the
-                // sequence the serial scan feeds it (DESIGN.md §17).
-                let engine_ref: &ClusterEngine = engine;
-                simkit::par::par_for_shards(
-                    nodes,
-                    *workers,
-                    rank_arenas,
-                    || (),
-                    rank_out,
-                    |_, &n, ()| {
-                        (engine_ref.node_online(n) && resil.quarantined_until[n.index()] <= t)
-                            .then(|| (n, engine_ref.node_free_memory(n)))
-                    },
-                );
-                ranked.extend(rank_out.iter_mut().filter_map(|slot| slot.take().flatten()));
-            } else {
-                ranked.extend(
-                    nodes
-                        .iter()
-                        .copied()
-                        .filter(|&n| {
-                            engine.node_online(n) && resil.quarantined_until[n.index()] <= t
-                        })
-                        .map(|n| (n, engine.node_free_memory(n))),
-                );
-            }
+            ranked.extend(
+                nodes
+                    .iter()
+                    .copied()
+                    .filter(|&n| engine.node_online(n) && resil.quarantined_until[n.index()] <= t)
+                    .map(|n| (n, engine.node_free_memory(n))),
+            );
             ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
             for &(node, _) in ranked.iter() {
                 if engine.node_executor_count(node) >= config.max_execs_per_node {
@@ -1541,10 +1489,6 @@ pub(crate) fn place_predictive(
     Ok(abstain_placements)
 }
 
-/// Minimum hot-node count before [`resolve_ooms`] fans its pressure scan
-/// across workers — storm-sized candidate sets only (DESIGN.md §17).
-const PAR_OOM_MIN_NODES: usize = 1024;
-
 /// Kills executors until no candidate node is out of memory; raises the
 /// owning application's margin so its re-run is conservative. `nodes` is
 /// the OOM candidate set — the engine's hot nodes — which provably covers
@@ -1552,13 +1496,6 @@ const PAR_OOM_MIN_NODES: usize = 1024;
 /// `Fits`). With resilience enabled it additionally feeds the margin
 /// controller, schedules a backed-off retry for the owner, and quarantines
 /// nodes that keep OOMing within one monitor window.
-///
-/// On storm-sized candidate sets the read-only pressure scan fans across
-/// workers first, and the serial kill loop then visits only flagged nodes
-/// in index order. Bit-identical to the plain loop: kills on a node only
-/// *reduce* that node's occupancy and touch no other node, so a node not
-/// OOM at scan time cannot have become OOM by the time the serial loop
-/// would have reached it — the skipped iterations are provably no-ops.
 pub(crate) fn resolve_ooms(
     engine: &mut ClusterEngine,
     apps: &mut [AppRt],
@@ -1567,41 +1504,9 @@ pub(crate) fn resolve_ooms(
     resil: &mut ResilState,
     nodes: &[NodeId],
 ) -> Result<usize, ColocateError> {
-    let mut kills = 0;
-    if nodes.len() >= PAR_OOM_MIN_NODES {
-        let workers = simkit::par::available_workers();
-        if workers > 1 {
-            let engine_ref: &ClusterEngine = engine;
-            let flags = simkit::par::par_map_indexed(nodes, workers, |_, &n| {
-                matches!(engine_ref.memory_pressure(n), MemoryPressure::OutOfMemory)
-            });
-            for (&node, flagged) in nodes.iter().zip(flags) {
-                if flagged {
-                    kills += resolve_node_ooms(engine, apps, config, t, resil, node)?;
-                }
-            }
-            return Ok(kills);
-        }
-    }
-    for &node in nodes {
-        kills += resolve_node_ooms(engine, apps, config, t, resil, node)?;
-    }
-    Ok(kills)
-}
-
-/// One node's share of [`resolve_ooms`]: kill youngest-first until the
-/// node's pressure drops below out-of-memory.
-fn resolve_node_ooms(
-    engine: &mut ClusterEngine,
-    apps: &mut [AppRt],
-    config: &SchedulerConfig,
-    t: f64,
-    resil: &mut ResilState,
-    node: NodeId,
-) -> Result<usize, ColocateError> {
     let resilience = config.resilience;
     let mut kills = 0;
-    {
+    for &node in nodes {
         while matches!(engine.memory_pressure(node), MemoryPressure::OutOfMemory) {
             let Some(victim) = engine.oom_victim(node) else {
                 break;

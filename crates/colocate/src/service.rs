@@ -232,14 +232,6 @@ pub struct AdmissionAudit {
     /// Whether the breaker was still open when the service drained
     /// (informational: legitimate when distress lands near the end).
     pub final_breaker_open: bool,
-    /// Micro-batches the opt-in prediction batcher dispatched
-    /// (informational; zero unless `SPARK_MOE_SERVICE_DEADLINE_US` is
-    /// set to a nonzero deadline).
-    pub prediction_batches: usize,
-    /// Longest time any request waited in the prediction batcher's queue
-    /// before its batch dispatched, s (informational; zero when batching
-    /// is off).
-    pub prediction_max_wait_secs: f64,
 }
 
 /// Sidecar state the admission layer keeps per planned job.
@@ -433,91 +425,6 @@ fn admission_need_gb(app: &AppRt, engine: &ClusterEngine, config: &SchedulerConf
         * target as f64
 }
 
-/// Opt-in flush deadline for the admission-time prediction batcher, µs
-/// (`SPARK_MOE_SERVICE_DEADLINE_US`; default 0 routes predictions through
-/// the plain whole-plan batch, byte-identical to prior releases).
-fn service_deadline_us() -> u64 {
-    std::env::var("SPARK_MOE_SERVICE_DEADLINE_US")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
-/// Serves the plan's expert selections through the [`BatchPredictor`]
-/// micro-batching front end with a real flush deadline: requests enter in
-/// plan order at their profiling-completion instants (clamped monotone —
-/// the batcher's clock contract), and each queued batch dispatches at
-/// `max_batch` requests or `deadline_us` of queue age, whichever first.
-/// Selections are batch-partition invariant, so the returned predictions
-/// are bitwise identical to one whole-plan `predict_batch`; the calls
-/// here only exercise the deadline machinery and report how it batched.
-fn batched_service_predictions(
-    system: &TrainedSystem,
-    refs: &[&crate::profiling::AppProfile],
-    jobs: &[JobState],
-    deadline_us: u64,
-    batches: &mut usize,
-    max_wait: &mut f64,
-) -> Result<Vec<crate::predictors::Prediction>, ColocateError> {
-    let config = crate::serving::BatchConfig {
-        max_batch: 256,
-        max_delay: deadline_us as f64 * 1e-6,
-    };
-    let mut batcher = crate::serving::BatchPredictor::new(
-        system.predictor.clone(),
-        system.selections.clone(),
-        config,
-    )
-    .map_err(|e| ColocateError::Config(format!("prediction batcher setup: {e}")))?;
-    let mut selections: Vec<Option<moe_core::Selection>> = vec![None; refs.len()];
-    let mut submitted_at: Vec<f64> = vec![0.0; refs.len()];
-    let mut now = 0.0f64;
-    for (i, profile) in refs.iter().enumerate() {
-        now = now.max(jobs[i].profile_ready);
-        let queued_before = batcher.pending();
-        for (ticket, selection) in batcher.poll(now)? {
-            *max_wait = max_wait.max(now - submitted_at[ticket as usize]);
-            selections[ticket as usize] = Some(selection);
-        }
-        if batcher.pending() < queued_before {
-            *batches += 1;
-        }
-        let queued_before = batcher.pending();
-        let ticket = batcher.submit(now, profile.features.clone())?;
-        submitted_at[ticket as usize] = now;
-        if batcher.pending() <= queued_before {
-            *batches += 1;
-        }
-    }
-    if batcher.pending() > 0 {
-        *batches += 1;
-    }
-    for (ticket, selection) in batcher.flush()? {
-        *max_wait = max_wait.max(now - submitted_at[ticket as usize]);
-        selections[ticket as usize] = Some(selection);
-    }
-    let mut out = Vec::with_capacity(refs.len());
-    for (profile, selection) in refs.iter().zip(&selections) {
-        let Some(selection) = selection else {
-            return Err(ColocateError::Config(
-                "prediction batcher dropped a request".into(),
-            ));
-        };
-        let expert = system.predictor.registry().get(selection.expert)?;
-        let model = crate::predictors::robust_calibrate(
-            expert,
-            profile.calibration[0],
-            profile.calibration[1],
-        )?;
-        out.push(crate::predictors::Prediction {
-            model: Box::new(model),
-            low_confidence: selection.low_confidence,
-            cpu_estimate: None,
-        });
-    }
-    Ok(out)
-}
-
 /// Runs one open-system campaign: every arrival in `plan` is mapped
 /// through [`ServiceConfig::job_classes`], profiled on arrival, passed
 /// through the admission layer (when enabled) and scheduled by `policy`'s
@@ -687,37 +594,12 @@ pub fn run_service(
     // pass: the MoE serves it through the whole-matrix selector path,
     // bitwise identical to the former per-job predict calls (and the
     // profiling RNG draws above are untouched — predict consumes none).
-    //
-    // With `SPARK_MOE_SERVICE_DEADLINE_US` set to a nonzero microsecond
-    // budget (and a trained MoE system on hand) the same selections are
-    // instead served through the `BatchPredictor` micro-batching front
-    // end with a real flush deadline. Selections are batch-partition
-    // invariant, so the service outputs stay bitwise identical — the knob
-    // only exercises the deadline machinery and records what it saw in
-    // the audit.
-    let deadline_us = service_deadline_us();
-    let mut pred_batches = 0usize;
-    let mut pred_max_wait = 0.0f64;
     {
         let p = predictor.as_ref().ok_or_else(|| {
             ColocateError::Config("predictive policy produced no predictor".into())
         })?;
         let refs: Vec<&crate::profiling::AppProfile> = profiles.iter().collect();
-        let moe_system = (deadline_us > 0 && policy == PolicyKind::Moe)
-            .then_some(system)
-            .flatten();
-        let predictions = if let Some(sys) = moe_system {
-            batched_service_predictions(
-                sys,
-                &refs,
-                &jobs,
-                deadline_us,
-                &mut pred_batches,
-                &mut pred_max_wait,
-            )?
-        } else {
-            p.predict_batch(&refs)?
-        };
+        let predictions = p.predict_batch(&refs)?;
         for ((app, prediction), profile) in apps.iter_mut().zip(predictions).zip(&profiles) {
             if let Some(cpu) = prediction.cpu_estimate {
                 app.measured_cpu = cpu;
@@ -744,7 +626,7 @@ pub fn run_service(
     let node_ids = engine.cluster().node_ids();
     let mut hot_nodes: Vec<NodeId> = Vec::new();
     // Placement scratch, hoisted out of the per-event placement calls.
-    let mut place_scratch = crate::scheduler::PlaceScratch::new();
+    let mut place_scratch = crate::scheduler::PlaceScratch::default();
     let mut guard = 0usize;
     let guard_limit = 500_000usize;
 
@@ -764,11 +646,7 @@ pub fn run_service(
     let mut tenant_pass: HashMap<usize, f64> = HashMap::new();
     let mut virtual_time = 0.0f64;
     let mut breaker = CircuitBreaker::new(admission.breaker);
-    let mut audit = AdmissionAudit {
-        prediction_batches: pred_batches,
-        prediction_max_wait_secs: pred_max_wait,
-        ..AdmissionAudit::default()
-    };
+    let mut audit = AdmissionAudit::default();
     let mut deferrals = 0usize;
     let mut shed_jobs = 0usize;
     let mut abstain_placements = 0usize;
@@ -1516,82 +1394,6 @@ mod tests {
             admission: AdmissionConfig::default(),
             tenant_weights: Vec::new(),
             job_classes,
-        }
-    }
-
-    #[test]
-    fn deadline_batcher_reproduces_the_whole_plan_predictions() {
-        let catalog = Catalog::paper();
-        let mut rng = SimRng::seed_from(11);
-        let system = crate::training::train_system(
-            &catalog,
-            &crate::training::TrainingConfig::default(),
-            &mut rng,
-        )
-        .unwrap();
-        let sched = small_sched();
-        let mut prof_rng = SimRng::seed_from(5);
-        let mut profiles = Vec::new();
-        let mut jobs = Vec::new();
-        for (k, name) in ["HB.Sort", "HB.PageRank", "BDB.Grep", "SB.Hive"]
-            .iter()
-            .enumerate()
-        {
-            let bench = catalog.by_name(name).unwrap();
-            let (profile, _cost) = crate::profiling::profile_app(
-                bench,
-                40.0,
-                sched.cluster.nodes,
-                sched.cluster.node.ram_gb,
-                &sched.profiling,
-                &mut prof_rng,
-            );
-            profiles.push(profile);
-            jobs.push(JobState {
-                tenant: 0,
-                arrived: false,
-                admitted_at: None,
-                shed: false,
-                profile_ready: k as f64 * 0.5,
-                vft: 0.0,
-                committed_gb: 0.0,
-                released: false,
-            });
-        }
-        let refs: Vec<&crate::profiling::AppProfile> = profiles.iter().collect();
-        let oracle = build_predictor(PolicyKind::Moe, &catalog, Some(&system), &mut rng)
-            .unwrap()
-            .unwrap()
-            .predict_batch(&refs)
-            .unwrap();
-
-        // A 1 µs deadline expires before every next arrival (0.5 s apart),
-        // so each request dispatches alone; a 100 s deadline never expires
-        // inside the plan's 1.5 s span, so everything rides the end flush.
-        for (deadline_us, want_batches) in [(1u64, refs.len()), (100_000_000, 1)] {
-            let mut batches = 0usize;
-            let mut max_wait = 0.0f64;
-            let got = batched_service_predictions(
-                &system,
-                &refs,
-                &jobs,
-                deadline_us,
-                &mut batches,
-                &mut max_wait,
-            )
-            .unwrap();
-            assert_eq!(batches, want_batches);
-            assert_eq!(got.len(), oracle.len());
-            for (a, b) in got.iter().zip(&oracle) {
-                assert_eq!(a.low_confidence, b.low_confidence);
-                assert_eq!(a.cpu_estimate, b.cpu_estimate);
-                for slice in [1.0, 7.5, 30.0] {
-                    assert_eq!(
-                        a.model.footprint_gb(slice).to_bits(),
-                        b.model.footprint_gb(slice).to_bits()
-                    );
-                }
-            }
         }
     }
 

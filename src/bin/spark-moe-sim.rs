@@ -30,6 +30,16 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
+/// A count flag's value: a positive integer, or the usage message. Zero
+/// nodes or zero mixes leave nothing to simulate.
+fn positive(value: &str) -> usize {
+    value
+        .parse()
+        .ok()
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| usage())
+}
+
 fn parse_policy(name: &str) -> Option<Vec<PolicyKind>> {
     Some(match name {
         "moe" | "ours" => vec![PolicyKind::Moe],
@@ -74,9 +84,9 @@ fn parse_args() -> Args {
                     .find(|s| s.label == label)
                     .unwrap_or_else(|| usage());
             }
-            "--mixes" => args.mixes = value.parse().unwrap_or_else(|_| usage()),
+            "--mixes" => args.mixes = positive(value),
             "--seed" => args.seed = value.parse().unwrap_or_else(|_| usage()),
-            "--nodes" => args.nodes = value.parse().unwrap_or_else(|_| usage()),
+            "--nodes" => args.nodes = positive(value),
             _ => usage(),
         }
         i += 2;
