@@ -5,11 +5,12 @@
 # tournament tree, monitor window memoization), the mlkit compute
 # kernels, the ML campaign drivers, the scale-sweep workload builders and
 # fig20 driver, the open-system layer (arrival plans + admission
-# service), the chaos-search harness (episode generation + shrinking,
-# invariant battery, fig22 driver), the prediction serving path (model
-# artifacts, micro-batching, the firehose and its fig23 driver), and the
-# campaign fan-out (simkit::par) must not contain `unwrap()` / `expect(`
-# outside test code.
+# service, which holds the one event loop), the placement, fault and OOM
+# code that loop calls (the scheduler), the chaos-search harness (episode
+# generation + shrinking, invariant battery, fig22 driver), the
+# prediction serving path (model artifacts, micro-batching, the firehose
+# and its fig23 driver), and the campaign fan-out (simkit::par) must not
+# contain `unwrap()` / `expect(` outside test code.
 #
 # Intentional exceptions live in ci/panic_allowlist.txt as
 # `<path>:<needle>` lines; a gated line is tolerated iff it contains the
@@ -40,6 +41,7 @@ GATED_FILES=(
   crates/bench/src/mlcamp.rs
   crates/simkit/src/arrivals.rs
   crates/colocate/src/service.rs
+  crates/colocate/src/scheduler.rs
   crates/simkit/src/chaoskit.rs
   crates/colocate/src/invariants.rs
   crates/bench/src/bin/fig22_chaos_search.rs

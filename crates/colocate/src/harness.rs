@@ -813,17 +813,7 @@ pub fn evaluate_chaos_checkpointed(
             acc.stp[ei].push(*s);
             acc.antt[ei].push(*a);
             acc.ooms[ei].push(*kills as f64);
-            let agg = &mut acc.faults[ei];
-            agg.node_crashes += f.node_crashes;
-            agg.executor_crashes += f.executor_crashes;
-            agg.monitor_dropouts += f.monitor_dropouts;
-            agg.prediction_noise += f.prediction_noise;
-            agg.slices_requeued_gb += f.slices_requeued_gb;
-            agg.retries += f.retries;
-            agg.quarantines += f.quarantines;
-            agg.isolated_fallbacks += f.isolated_fallbacks;
-            agg.spot_preemptions += f.spot_preemptions;
-            agg.drains += f.drains;
+            acc.faults[ei] += *f;
         }
     }
     let mut acc = ChaosAccum {

@@ -17,7 +17,7 @@
 //!   includes the leave-one-out plumbing of §5.2;
 //! * [`scheduler`] — the job dispatcher (§4.3) and the comparative
 //!   policies: Isolated, Pairwise, Online-Search and the predictive
-//!   co-locator, all sharing one event loop;
+//!   co-locator, all run by the one event loop in [`service`];
 //! * [`metrics`] — STP and ANTT (Eyerman–Eeckhout definitions, §5.3),
 //!   their normalisation against the isolated baseline, and NaN-safe
 //!   percentile helpers for tail metrics;
@@ -26,7 +26,7 @@
 //!   pass a memory-footprint-gated admission queue with per-tenant
 //!   weighted fair queueing, and overload is met with load shedding,
 //!   backpressure and a circuit breaker that degrades to isolated
-//!   scheduling;
+//!   scheduling; its event loop also runs every closed-system schedule;
 //! * [`harness`] — campaign runners: replay a mix until the 95 % CI
 //!   half-width is below 5 % (§5.2), produce utilisation traces (Fig. 7),
 //!   overhead breakdowns (Figs. 11/12) and interference studies

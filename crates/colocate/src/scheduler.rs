@@ -1,16 +1,21 @@
 //! The job dispatcher and the comparative scheduling policies (§4.3, §5.4).
 //!
-//! All policies share one event loop over the sparklite engine:
+//! All policies share one event loop over the sparklite engine, the one
+//! in [`crate::service`]: [`run_schedule`] and its variants hand it a
+//! batch arrival plan (every application at `t = 0`) with admission
+//! disabled. This module holds what the loop calls at each instant:
 //!
-//! 1. **placement** — the policy spawns executors given the resource
+//! 1. **faults** — due fault-plan events, spot revocations and node
+//!    restores are applied before placement sees the cluster;
+//! 2. **placement** — the policy spawns executors given the resource
 //!    monitor's view (free memory per node, CPU load per node) and, for
 //!    predictive policies, each application's calibrated memory model;
-//! 2. **OOM resolution** — if actual footprints exhaust RAM + swap, the
+//! 3. **OOM resolution** — if actual footprints exhaust RAM + swap, the
 //!    youngest executor is killed, its slice re-queued, and the owning
 //!    application's reservation margin is raised (the paper re-runs OOM'd
 //!    executors in isolation, §2.3);
-//! 3. **progress** — the engine advances to the next executor completion
-//!    or profiling-ready instant, and finished slices are credited.
+//! 4. **progress** — the engine advances to the next executor completion
+//!    or externally scheduled instant, and finished slices are credited.
 //!
 //! The policies:
 //!
@@ -30,10 +35,12 @@
 use crate::predictors::{
     AnnPredictor, MemoryPredictor, MoePolicy, Oracle, Prediction, QuasarPredictor, UnifiedFamily,
 };
-use crate::profiling::{profile_app, ProfilingConfig, ProfilingCost};
+use crate::profiling::{ProfilingConfig, ProfilingCost};
+use crate::service::{run_loop, AdmissionConfig};
 use crate::training::{TrainedSystem, TrainingConfig};
 use crate::ColocateError;
 use mlkit::regression::CurveFamily;
+use simkit::arrivals::ArrivalPlan;
 use simkit::faults::{FaultEvent, FaultKind, FaultPlan};
 use simkit::SimRng;
 use sparklite::app::AppId;
@@ -265,6 +272,22 @@ pub struct FaultStats {
     pub drains: usize,
 }
 
+impl std::ops::AddAssign for FaultStats {
+    /// Field-wise sum: how campaigns fold per-run stats.
+    fn add_assign(&mut self, other: Self) {
+        self.node_crashes += other.node_crashes;
+        self.executor_crashes += other.executor_crashes;
+        self.monitor_dropouts += other.monitor_dropouts;
+        self.prediction_noise += other.prediction_noise;
+        self.slices_requeued_gb += other.slices_requeued_gb;
+        self.retries += other.retries;
+        self.quarantines += other.quarantines;
+        self.isolated_fallbacks += other.isolated_fallbacks;
+        self.spot_preemptions += other.spot_preemptions;
+        self.drains += other.drains;
+    }
+}
+
 /// Outcome for one application in a schedule.
 #[derive(Debug, Clone)]
 pub struct AppOutcome {
@@ -395,9 +418,10 @@ pub(crate) fn schedule_retry(
 ///
 /// # Errors
 ///
-/// Returns configuration errors for empty mixes, and propagates substrate
-/// or predictor failures (which indicate bugs rather than expected
-/// conditions).
+/// Returns configuration errors for empty mixes, benchmark indices
+/// outside the catalog and non-positive input sizes, and propagates
+/// substrate or predictor failures (which indicate bugs rather than
+/// expected conditions).
 pub fn run_schedule(
     policy: PolicyKind,
     catalog: &Catalog,
@@ -407,7 +431,7 @@ pub fn run_schedule(
     seed: u64,
 ) -> Result<ScheduleOutcome, ColocateError> {
     let jobs: Vec<(usize, f64)> = mix.iter().map(|e| (e.benchmark, e.size.gb())).collect();
-    run_schedule_custom(policy, catalog, &jobs, system, config, seed)
+    run_closed(policy, catalog, &jobs, system, config, seed, None)
 }
 
 /// Like [`run_schedule`], but with explicit `(benchmark index, input GB)`
@@ -425,7 +449,7 @@ pub fn run_schedule_custom(
     config: &SchedulerConfig,
     seed: u64,
 ) -> Result<ScheduleOutcome, ColocateError> {
-    run_schedule_inner(policy, catalog, mix, system, config, seed, None)
+    run_closed(policy, catalog, mix, system, config, seed, None)
 }
 
 /// Like [`run_schedule_custom`], but replaying a pre-drawn [`FaultPlan`]
@@ -445,7 +469,7 @@ pub fn run_schedule_custom(
 ///
 /// # Errors
 ///
-/// Same conditions as [`run_schedule`].
+/// Same conditions as [`run_schedule_custom`].
 pub fn run_schedule_with_faults(
     policy: PolicyKind,
     catalog: &Catalog,
@@ -455,333 +479,59 @@ pub fn run_schedule_with_faults(
     seed: u64,
     plan: &FaultPlan,
 ) -> Result<ScheduleOutcome, ColocateError> {
-    run_schedule_inner(policy, catalog, mix, system, config, seed, Some(plan))
+    run_closed(policy, catalog, mix, system, config, seed, Some(plan))
 }
 
-fn run_schedule_inner(
+/// The closed system as a service run: every job arrives at `t = 0` (one
+/// job class per mix entry) and admission is disabled.
+fn run_closed(
     policy: PolicyKind,
     catalog: &Catalog,
     mix: &[(usize, f64)],
     system: Option<&TrainedSystem>,
     config: &SchedulerConfig,
     seed: u64,
-    plan: Option<&FaultPlan>,
+    faults: Option<&FaultPlan>,
 ) -> Result<ScheduleOutcome, ColocateError> {
-    if mix.is_empty() {
-        return Err(ColocateError::Config("empty application mix".into()));
-    }
-    let mut rng = SimRng::seed_from(seed);
-    let predictor = build_predictor(policy, catalog, system, &mut rng)?;
-
-    let mut engine = ClusterEngine::with_seed(
-        config.cluster.clone(),
-        config.interference,
-        rng.fork().next_u64_seed(),
-    );
-    engine.set_executor_startup_secs(config.executor_startup_secs);
-
-    // Submit every application and run the profiling pipeline.
-    let mut apps: Vec<AppRt> = Vec::with_capacity(mix.len());
-    // Profiling happens off the computing cluster, "grouping different
-    // application tasks to run on a single host" (§4.1) — modeled as a
-    // small pool of concurrent profiling slots on the coordinating side.
-    let mut profile_slots = [0.0f64; 6];
-    let mut search_queue_end = 0.0; // OnlineSearch serialises on the driver.
-    for &(bench_idx, input) in mix {
-        let bench = &catalog.all()[bench_idx];
-        let rate_penalty = if policy == PolicyKind::OnlineSearch {
-            1.0 / (1.0 + config.search_rate_penalty)
-        } else {
-            1.0
-        };
-        let mut spec = bench.app_spec(input, config.profiling.footprint_noise_sd);
-        spec.rate_gb_per_s *= rate_penalty;
-        let engine_id = engine.submit(spec);
-
-        let (ready_at, prediction, measured_cpu, profiling) = match predictor.as_ref() {
-            Some(p) => {
-                let (profile, mut cost) = profile_app(
-                    bench,
-                    input,
-                    config.cluster.nodes,
-                    config.cluster.node.ram_gb,
-                    &config.profiling,
-                    &mut rng,
-                );
-                let prediction = p.predict(&profile)?;
-                let mut ready = if p.needs_profiling() {
-                    engine.credit_profiled(engine_id, cost.profiled_gb);
-                    // Take the earliest-free profiling slot. Slot times
-                    // are sums of positive costs, so `total_cmp` orders
-                    // them exactly as `partial_cmp` would.
-                    let slot = profile_slots
-                        .iter_mut()
-                        .min_by(|a, b| a.total_cmp(b))
-                        .ok_or_else(|| {
-                            ColocateError::Config("profiling slot pool is empty".into())
-                        })?;
-                    *slot += cost.total_secs();
-                    *slot
-                } else {
-                    cost = ProfilingCost::default();
-                    0.0
-                };
-                if policy == PolicyKind::OnlineSearch {
-                    // Descent search serialised on the coordinating node.
-                    let search = config.search_serial_frac * input / bench.rate_gb_per_s();
-                    search_queue_end += search;
-                    ready = ready.max(search_queue_end);
-                }
-                let cpu = prediction.cpu_estimate.unwrap_or(profile.measured_cpu);
-                (ready, Some(prediction), cpu, cost)
-            }
-            None => (0.0, None, bench.cpu_util(), ProfilingCost::default()),
-        };
-
-        apps.push(AppRt {
-            engine_id,
-            benchmark: bench_idx,
-            ready_at,
-            prediction,
-            measured_cpu,
-            margin: 1.0,
-            finished_at: None,
-            profiling,
-            input_gb: input,
-            pred_scale: 1.0,
-            err_ewma: 1.0,
-            failures: 0,
-            retry_at: 0.0,
-            isolated_fallback: false,
-        });
-    }
-    for app in &mut apps {
-        if let Some(pred) = &app.prediction {
-            if pred.low_confidence {
-                app.margin = config.conservative_margin;
-            }
-        }
-    }
-
-    // Main event loop.
-    let mut monitor =
-        sparklite::monitor::ResourceMonitor::new(config.cluster.nodes, config.monitor);
-    let mut t = 0.0f64;
-    let mut oom_kills = 0usize;
-    let mut trace: Vec<(f64, Vec<f64>)> = Vec::new();
-    let node_ids = engine.cluster().node_ids();
-    // OOM-candidate scratch: only nodes whose final footprints overflow
-    // RAM can ever report OutOfMemory (see ClusterEngine::hot_nodes_into),
-    // so the resolver scans this short list instead of the whole cluster.
-    let mut hot_nodes: Vec<NodeId> = Vec::new();
-    // Placement scratch, hoisted out of the per-event placement calls.
-    let mut place_scratch = PlaceScratch::default();
-    let mut guard = 0usize;
-    let guard_limit = 200_000usize;
-
-    // Fault replay and self-healing state. The jitter RNG is forked only
-    // when resilience is enabled, and only after the app-setup loop, so
-    // the fault-free disabled path draws exactly what it always drew.
-    let mut cursor = plan.map(FaultPlan::cursor);
-    let mut restore_at = vec![0.0f64; node_ids.len()];
-    // Pending spot revocations: the warning sets a deadline here, and the
-    // node is failed when it elapses. All-zero (inert) without spot faults.
-    let mut revoke_at = vec![0.0f64; node_ids.len()];
-    let mut revoke_outage = vec![0.0f64; node_ids.len()];
-    let mut resil = ResilState {
-        jitter: config.resilience.enabled.then(|| rng.fork()),
-        quarantined_until: vec![0.0; node_ids.len()],
-        oom_times: vec![VecDeque::new(); node_ids.len()],
-        stats: FaultStats::default(),
-    };
-
-    loop {
-        guard += 1;
-        if guard.is_multiple_of(20_000) && std::env::var_os("SPARK_MOE_DEBUG").is_some() {
-            let live = engine.live_executors();
-            let unfinished = apps.iter().filter(|a| a.finished_at.is_none()).count();
-            eprintln!(
-                "[debug] iter {guard}: t={t:.0}s live={live} unfinished={unfinished} ooms={oom_kills}"
-            );
-        }
-        if guard > guard_limit {
-            return Err(ColocateError::Config(
-                "scheduler event loop exceeded its iteration guard".into(),
-            ));
-        }
-
-        // Deliver every fault due by now before placement sees the
-        // cluster, then bring nodes whose outage elapsed back online.
-        if let Some(cursor) = cursor.as_mut() {
-            while let Some(event) = cursor.pop_due(t) {
-                apply_fault(
-                    event,
-                    &mut engine,
-                    &mut monitor,
-                    &mut apps,
-                    config,
-                    t,
-                    &mut restore_at,
-                    &mut revoke_at,
-                    &mut revoke_outage,
-                    &mut resil,
-                )?;
-            }
-        }
-        process_revocations(
-            &mut engine,
-            &mut apps,
-            config,
-            t,
-            &node_ids,
-            &mut revoke_at,
-            &mut revoke_outage,
-            &mut restore_at,
-            &mut resil,
-        )?;
-        for (i, due) in restore_at.iter_mut().enumerate() {
-            if *due > 0.0 && *due <= t {
-                engine.restore_node(node_ids[i])?;
-                *due = 0.0;
-            }
-        }
-
-        // Mark finished apps before placement so policies see fresh state
-        // (the isolated policy in particular must move on to the next app
-        // in the same instant its predecessor's last executor completes).
-        for app in &mut apps {
-            if app.finished_at.is_none() && engine.app(app.engine_id).is_finished() {
-                app.finished_at = Some(t.max(app.ready_at));
-            }
-        }
-
-        monitor.observe(&engine, t);
-        place(
-            policy,
-            &mut engine,
-            &mut apps,
-            config,
-            t,
-            catalog,
-            &monitor,
-            &resil,
-            &node_ids,
-            false,
-            &mut place_scratch,
-        )?;
-        engine.hot_nodes_into(&mut hot_nodes);
-        oom_kills += resolve_ooms(&mut engine, &mut apps, config, t, &mut resil, &hot_nodes)?;
-
-        trace.push((
-            t,
-            node_ids.iter().map(|&n| engine.node_cpu_load(n)).collect(),
-        ));
-
-        // Apps may also finish via profiling credit alone.
-        for app in &mut apps {
-            if app.finished_at.is_none() && engine.app(app.engine_id).is_finished() {
-                app.finished_at = Some(t.max(app.ready_at));
-            }
-        }
-        if apps.iter().all(|a| a.finished_at.is_some()) {
-            break;
-        }
-
-        // Next externally scheduled instant: an application becoming
-        // ready (profiling done or retry backoff elapsed), a fault
-        // striking, or a crashed node's outage ending. With no plan and
-        // resilience disabled this reduces to the classic next-ready time.
-        let next_ready = apps
-            .iter()
-            .filter(|a| a.finished_at.is_none())
-            .map(|a| a.ready_at.max(a.retry_at))
-            .filter(|&r| r > t)
-            .fold(f64::INFINITY, f64::min);
-        let next_fault = cursor
-            .as_ref()
-            .and_then(simkit::faults::FaultCursor::next_at)
-            .unwrap_or(f64::INFINITY);
-        let next_restore = restore_at
-            .iter()
-            .copied()
-            .filter(|&r| r > t)
-            .fold(f64::INFINITY, f64::min);
-        let next_revoke = revoke_at
-            .iter()
-            .copied()
-            .filter(|&r| r > t)
-            .fold(f64::INFINITY, f64::min);
-        let next_event = next_ready
-            .min(next_fault)
-            .min(next_restore)
-            .min(next_revoke);
-        let next_done = engine.next_completion();
-
-        match (next_done, next_event.is_finite()) {
-            (Some((dt, _)), true) if t + dt > next_event => {
-                engine.advance(next_event - t);
-                t = next_event;
-            }
-            (Some((dt, first)), _) => {
-                engine.advance(dt);
-                t += dt;
-                note_completion(&engine, &mut apps, config, first);
-                engine.complete_executor(first)?;
-                // Complete any executors that finished at the same instant.
-                while let Some((dt2, id2)) = engine.next_completion() {
-                    if dt2 > 1e-9 {
-                        break;
-                    }
-                    engine.advance(dt2);
-                    t += dt2;
-                    note_completion(&engine, &mut apps, config, id2);
-                    engine.complete_executor(id2)?;
-                }
-            }
-            (None, true) => {
-                t = next_event;
-            }
-            (None, false) => {
-                // No executors, nothing becoming ready: the policy's model
-                // refused every node (a badly mis-fitted unified model can
-                // predict footprints beyond any budget). A real dispatcher
-                // still makes progress — force a minimum-slice placement
-                // on the emptiest node, capped at the free memory; if it
-                // pages, that is the baseline's deserved penalty.
-                if !force_place(&mut engine, &mut apps, config, t)? {
-                    return Err(ColocateError::Config(format!(
-                        "schedule stuck at t={t:.1}s with unfinished applications"
-                    )));
-                }
-            }
-        }
-    }
-
-    // Every app must have finished by now (the event loop only exits once
-    // the last completion fires); surface a typed error rather than
-    // panicking if that invariant is ever broken.
-    let mut per_app = Vec::with_capacity(apps.len());
-    let mut makespan = 0.0f64;
-    for a in &apps {
-        let finished_at = a.finished_at.ok_or_else(|| {
-            ColocateError::Config("schedule ended with an unfinished application".into())
-        })?;
-        makespan = makespan.max(finished_at);
-        per_app.push(AppOutcome {
-            benchmark: a.benchmark,
-            input_gb: a.input_gb,
-            ready_at: a.ready_at,
-            finished_at,
-            profiling: a.profiling,
-        });
-    }
+    let plan = ArrivalPlan::batch(&(0..mix.len()).map(|i| (0, i)).collect::<Vec<_>>());
+    let mut trace = Vec::new();
+    let run = run_loop(
+        policy,
+        catalog,
+        &plan,
+        system,
+        config,
+        &AdmissionConfig::default(),
+        &[],
+        mix,
+        seed,
+        faults,
+        Some(&mut trace),
+    )?;
+    let per_app = run
+        .service
+        .jobs
+        .iter()
+        .zip(run.ready)
+        .map(|(job, (ready_at, profiling))| {
+            Ok(AppOutcome {
+                benchmark: job.benchmark,
+                input_gb: job.input_gb,
+                ready_at,
+                finished_at: job.finished_at.ok_or_else(|| {
+                    ColocateError::Config("schedule ended with an unfinished application".into())
+                })?,
+                profiling,
+            })
+        })
+        .collect::<Result<_, ColocateError>>()?;
     Ok(ScheduleOutcome {
         policy: policy.display_name(),
         per_app,
-        makespan_secs: makespan,
-        oom_kills,
+        makespan_secs: run.service.makespan_secs,
+        oom_kills: run.service.oom_kills,
         trace,
-        faults: resil.stats,
+        faults: run.service.faults,
     })
 }
 
@@ -831,23 +581,9 @@ pub(crate) fn apply_fault(
             let Some(id) = engine.cluster().node_ids_iter().nth(node) else {
                 return Ok(());
             };
-            let lost = engine.fail_node(id)?;
+            fail_and_requeue(engine, id, apps, config, t, resil)?;
             resil.stats.node_crashes += 1;
             restore_at[node] = restore_at[node].max(t + outage_secs);
-            let mut owners: Vec<AppId> = Vec::new();
-            for (owner, slice) in lost {
-                resil.stats.slices_requeued_gb += slice;
-                if !owners.contains(&owner) {
-                    owners.push(owner);
-                }
-            }
-            if config.resilience.enabled {
-                for owner in owners {
-                    if let Some(app) = apps.iter_mut().find(|a| a.engine_id == owner) {
-                        schedule_retry(app, t, &config.resilience, resil, false);
-                    }
-                }
-            }
         }
         FaultKind::ExecutorCrash { node } => {
             let Some(id) = engine.cluster().node_ids_iter().nth(node) else {
@@ -936,25 +672,39 @@ pub(crate) fn process_revocations(
             continue;
         }
         if engine.node_online(node_ids[i]) {
-            let lost = engine.fail_node(node_ids[i])?;
-            let mut owners: Vec<AppId> = Vec::new();
-            for (owner, slice) in lost {
-                resil.stats.slices_requeued_gb += slice;
-                if !owners.contains(&owner) {
-                    owners.push(owner);
-                }
-            }
-            if config.resilience.enabled {
-                for owner in owners {
-                    if let Some(app) = apps.iter_mut().find(|a| a.engine_id == owner) {
-                        schedule_retry(app, t, &config.resilience, resil, false);
-                    }
-                }
-            }
+            fail_and_requeue(engine, node_ids[i], apps, config, t, resil)?;
         }
         restore_at[i] = restore_at[i].max(t + revoke_outage[i]);
         revoke_at[i] = 0.0;
         revoke_outage[i] = 0.0;
+    }
+    Ok(())
+}
+
+/// Fails `node` and re-queues its work: every lost slice is credited back
+/// to its owner (work conservation) and, with resilience enabled, each
+/// owner gets a backed-off retry that never demotes it.
+fn fail_and_requeue(
+    engine: &mut ClusterEngine,
+    node: NodeId,
+    apps: &mut [AppRt],
+    config: &SchedulerConfig,
+    t: f64,
+    resil: &mut ResilState,
+) -> Result<(), ColocateError> {
+    let mut owners: Vec<AppId> = Vec::new();
+    for (owner, slice) in engine.fail_node(node)? {
+        resil.stats.slices_requeued_gb += slice;
+        if !owners.contains(&owner) {
+            owners.push(owner);
+        }
+    }
+    if config.resilience.enabled {
+        for owner in owners {
+            if let Some(app) = apps.iter_mut().find(|a| a.engine_id == owner) {
+                schedule_retry(app, t, &config.resilience, resil, false);
+            }
+        }
     }
     Ok(())
 }
@@ -1696,6 +1446,26 @@ mod tests {
             1,
         );
         assert!(matches!(err, Err(ColocateError::Config(_))));
+    }
+
+    #[test]
+    fn bad_closed_loop_jobs_are_config_errors() {
+        let catalog = Catalog::paper();
+        let outside = catalog.all().len();
+        for jobs in [
+            vec![(0, 60.0), (outside, 60.0)],
+            vec![(0, 0.0)],
+            vec![(0, -5.0)],
+            vec![(0, f64::NAN)],
+        ] {
+            for policy in [PolicyKind::Isolated, PolicyKind::Oracle] {
+                let err = run_schedule_custom(policy, &catalog, &jobs, None, &small_config(), 1);
+                assert!(
+                    matches!(err, Err(ColocateError::Config(_))),
+                    "{policy:?} on {jobs:?}"
+                );
+            }
+        }
     }
 
     #[test]

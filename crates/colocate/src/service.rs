@@ -23,13 +23,15 @@
 //!   on the way back. Admission keeps flowing while open — the service
 //!   degrades to isolated throughput instead of stalling.
 //!
-//! Everything is opt-in: with [`AdmissionConfig::enabled`] `false` and a
-//! [`batch`](simkit::arrivals::ArrivalPlan::batch) plan, [`run_service`]
-//! reproduces the closed-system [`run_schedule_custom`] path bit for bit —
-//! the identity the open-loop invariant tests pin.
+//! Everything is opt-in. This module also holds the dispatcher's one event
+//! loop: the closed-system [`run_schedule`](crate::scheduler::run_schedule)
+//! family *is* that loop, fed a
+//! [`batch`](simkit::arrivals::ArrivalPlan::batch) plan with
+//! [`AdmissionConfig::enabled`] `false`.
 
 use crate::harness::{BaselineCache, ChaosSpec, RunConfig};
 use crate::metrics::percentiles;
+use crate::profiling::{profile_app, AppProfile, ProfilingCost};
 use crate::scheduler::{
     apply_fault, build_predictor, effective_margin, force_place, note_completion, place,
     process_revocations, resolve_ooms, AppRt, FaultStats, NextSeed, PolicyKind, ResilState,
@@ -430,10 +432,10 @@ fn admission_need_gb(app: &AppRt, engine: &ClusterEngine, config: &SchedulerConf
 /// through the admission layer (when enabled) and scheduled by `policy`'s
 /// dispatcher, with `faults` (when given) replayed against the cluster.
 ///
-/// Determinism: the outcome is a pure function of the arguments. A
-/// [`batch`](ArrivalPlan::batch) plan with admission disabled and no
-/// faults reproduces [`run_schedule_custom`](crate::scheduler::run_schedule_custom)
-/// bit for bit.
+/// Determinism: the outcome is a pure function of the arguments. The
+/// closed-system [`run_schedule`](crate::scheduler::run_schedule) family
+/// *is* this event loop, fed a [`batch`](ArrivalPlan::batch) plan with
+/// admission disabled.
 ///
 /// # Errors
 ///
@@ -441,7 +443,6 @@ fn admission_need_gb(app: &AppRt, engine: &ClusterEngine, config: &SchedulerConf
 /// model for the admission gate), empty plans, and plans referencing
 /// tenants or job classes the config does not define; propagates
 /// substrate and predictor failures.
-#[allow(clippy::too_many_lines)]
 pub fn run_service(
     policy: PolicyKind,
     catalog: &Catalog,
@@ -456,26 +457,82 @@ pub fn run_service(
             "open-system service needs a predictive policy, got {policy:?}"
         )));
     }
+    run_loop(
+        policy,
+        catalog,
+        plan,
+        system,
+        &config.scheduler,
+        &config.admission,
+        &config.tenant_weights,
+        &config.job_classes,
+        seed,
+        faults,
+        None,
+    )
+    .map(|run| run.service)
+}
+
+/// What the event loop hands back: the service outcome plus, per planned
+/// job in plan order, when it became dispatchable and what its profiling
+/// cost (the closed-system [`AppOutcome`](crate::scheduler::AppOutcome)
+/// fields the service outcome does not carry).
+pub(crate) struct LoopOutcome {
+    pub(crate) service: ServiceOutcome,
+    pub(crate) ready: Vec<(f64, ProfilingCost)>,
+}
+
+/// Iterations after which the event loop gives up with an error instead
+/// of spinning: far above any figure's or benchmark's event count.
+const EVENT_GUARD: usize = 500_000;
+
+/// The one event loop behind both [`run_service`] and the closed-system
+/// [`run_schedule`](crate::scheduler::run_schedule) family. Each
+/// scheduling instant runs the same sequence: deliver arrivals, faults,
+/// spot revocations and node restores; mark finishes; recover the breaker;
+/// shed and admit; place and resolve OOMs; then advance the engine to the
+/// next completion or externally scheduled instant.
+///
+/// Arrival `i` runs `job_classes[plan[i].job_class]` for tenant
+/// `plan[i].tenant`, weighted by `tenant_weights` (empty = all 1.0).
+/// Non-predictive policies (`Isolated`/`Pairwise`) skip profiling: no RNG
+/// draw, ready at arrival, the catalog's CPU demand and no prediction.
+/// `trace`, when given, receives one `(time, per-node CPU load)` row per
+/// instant.
+#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+pub(crate) fn run_loop(
+    policy: PolicyKind,
+    catalog: &Catalog,
+    plan: &ArrivalPlan,
+    system: Option<&TrainedSystem>,
+    sched: &SchedulerConfig,
+    admission: &AdmissionConfig,
+    tenant_weights: &[f64],
+    job_classes: &[(usize, f64)],
+    seed: u64,
+    faults: Option<&FaultPlan>,
+    mut trace: Option<&mut Vec<(f64, Vec<f64>)>>,
+) -> Result<LoopOutcome, ColocateError> {
     if plan.is_empty() {
         return Err(ColocateError::Config("empty arrival plan".into()));
     }
     for event in plan.events() {
-        if event.job_class >= config.job_classes.len() {
+        if event.job_class >= job_classes.len() {
             return Err(ColocateError::Config(format!(
                 "arrival references job class {} but only {} are defined",
                 event.job_class,
-                config.job_classes.len()
+                job_classes.len()
             )));
         }
-        if !config.tenant_weights.is_empty() && event.tenant >= config.tenant_weights.len() {
+        if !tenant_weights.is_empty() && event.tenant >= tenant_weights.len() {
             return Err(ColocateError::Config(format!(
                 "arrival references tenant {} but only {} weights are defined",
                 event.tenant,
-                config.tenant_weights.len()
+                tenant_weights.len()
             )));
         }
     }
-    for &(bench, input) in &config.job_classes {
+    for &(bench, input) in job_classes {
         if bench >= catalog.all().len() {
             return Err(ColocateError::Config(format!(
                 "job class references benchmark {bench} outside the catalog"
@@ -487,13 +544,11 @@ pub fn run_service(
             ));
         }
     }
-    if !config.tenant_weights.iter().all(|&w| w > 0.0) {
+    if !tenant_weights.iter().all(|&w| w > 0.0) {
         return Err(ColocateError::Config(
             "tenant weights must be positive".into(),
         ));
     }
-    let sched = &config.scheduler;
-    let admission = config.admission;
 
     let mut rng = SimRng::seed_from(seed);
     let predictor = build_predictor(policy, catalog, system, &mut rng)?;
@@ -507,14 +562,14 @@ pub fn run_service(
 
     // Submit every planned job up front (the engine is inert about apps
     // without executors) and run each one's profiling pipeline starting at
-    // its arrival instant. Same draw order as the closed loop: plan order.
+    // its arrival instant, drawing from the RNG in plan order.
     let mut apps: Vec<AppRt> = Vec::with_capacity(plan.len());
     let mut jobs: Vec<JobState> = Vec::with_capacity(plan.len());
-    let mut profiles: Vec<crate::profiling::AppProfile> = Vec::with_capacity(plan.len());
+    let mut profiles: Vec<AppProfile> = Vec::with_capacity(plan.len());
     let mut profile_slots = [0.0f64; 6];
     let mut search_queue_end = 0.0f64;
     for event in plan.events() {
-        let (bench_idx, input) = config.job_classes[event.job_class];
+        let (bench_idx, input) = job_classes[event.job_class];
         let bench = &catalog.all()[bench_idx];
         let rate_penalty = if policy == PolicyKind::OnlineSearch {
             1.0 / (1.0 + sched.search_rate_penalty)
@@ -525,37 +580,47 @@ pub fn run_service(
         spec.rate_gb_per_s *= rate_penalty;
         let engine_id = engine.submit(spec);
 
-        let p = predictor.as_ref().ok_or_else(|| {
-            ColocateError::Config("predictive policy produced no predictor".into())
-        })?;
-        let (profile, mut cost) = crate::profiling::profile_app(
-            bench,
-            input,
-            sched.cluster.nodes,
-            sched.cluster.node.ram_gb,
-            &sched.profiling,
-            &mut rng,
-        );
-        let mut ready = if p.needs_profiling() {
-            engine.credit_profiled(engine_id, cost.profiled_gb);
-            let slot = profile_slots
-                .iter_mut()
-                .min_by(|a, b| a.total_cmp(b))
-                .ok_or_else(|| ColocateError::Config("profiling slot pool is empty".into()))?;
-            // Profiling starts no earlier than the arrival; at a batch
-            // plan's t = 0 this reduces to the closed loop's `*slot += cost`.
-            let start = slot.max(event.at_secs);
-            *slot = start + cost.total_secs();
-            *slot
-        } else {
-            cost = crate::profiling::ProfilingCost::default();
-            event.at_secs
+        // A non-predictive policy has no model to profile for: the job is
+        // ready on arrival and runs at the catalog's CPU demand.
+        let (ready, measured_cpu, cost) = match predictor.as_ref() {
+            None => (event.at_secs, bench.cpu_util(), ProfilingCost::default()),
+            Some(p) => {
+                let (profile, mut cost) = profile_app(
+                    bench,
+                    input,
+                    sched.cluster.nodes,
+                    sched.cluster.node.ram_gb,
+                    &sched.profiling,
+                    &mut rng,
+                );
+                let mut ready = if p.needs_profiling() {
+                    engine.credit_profiled(engine_id, cost.profiled_gb);
+                    // Take the earliest-free profiling slot; profiling
+                    // starts no earlier than the arrival.
+                    let slot = profile_slots
+                        .iter_mut()
+                        .min_by(|a, b| a.total_cmp(b))
+                        .ok_or_else(|| {
+                            ColocateError::Config("profiling slot pool is empty".into())
+                        })?;
+                    let start = slot.max(event.at_secs);
+                    *slot = start + cost.total_secs();
+                    *slot
+                } else {
+                    cost = ProfilingCost::default();
+                    event.at_secs
+                };
+                if policy == PolicyKind::OnlineSearch {
+                    // Descent search serialised on the coordinating node.
+                    let search = sched.search_serial_frac * input / bench.rate_gb_per_s();
+                    search_queue_end = search_queue_end.max(event.at_secs) + search;
+                    ready = ready.max(search_queue_end);
+                }
+                let cpu = profile.measured_cpu;
+                profiles.push(profile);
+                (ready, cpu, cost)
+            }
         };
-        if policy == PolicyKind::OnlineSearch {
-            let search = sched.search_serial_frac * input / bench.rate_gb_per_s();
-            search_queue_end = search_queue_end.max(event.at_secs) + search;
-            ready = ready.max(search_queue_end);
-        }
         apps.push(AppRt {
             engine_id,
             benchmark: bench_idx,
@@ -567,7 +632,7 @@ pub fn run_service(
                 ready
             },
             prediction: None,
-            measured_cpu: profile.measured_cpu,
+            measured_cpu,
             margin: 1.0,
             finished_at: None,
             profiling: cost,
@@ -588,38 +653,27 @@ pub fn run_service(
             committed_gb: 0.0,
             released: false,
         });
-        profiles.push(profile);
     }
-    // One batched prediction over every job arriving in this planning
-    // pass: the MoE serves it through the whole-matrix selector path,
-    // bitwise identical to the former per-job predict calls (and the
-    // profiling RNG draws above are untouched — predict consumes none).
-    {
-        let p = predictor.as_ref().ok_or_else(|| {
-            ColocateError::Config("predictive policy produced no predictor".into())
-        })?;
-        let refs: Vec<&crate::profiling::AppProfile> = profiles.iter().collect();
+    // One batched prediction over every planned job: the MoE serves it
+    // through the whole-matrix selector path, bitwise identical to per-job
+    // predict calls (and predict draws nothing from the RNG).
+    if let Some(p) = predictor.as_ref() {
+        let refs: Vec<&AppProfile> = profiles.iter().collect();
         let predictions = p.predict_batch(&refs)?;
-        for ((app, prediction), profile) in apps.iter_mut().zip(predictions).zip(&profiles) {
+        for (app, prediction) in apps.iter_mut().zip(predictions) {
             if let Some(cpu) = prediction.cpu_estimate {
                 app.measured_cpu = cpu;
-            } else {
-                app.measured_cpu = profile.measured_cpu;
+            }
+            if prediction.low_confidence {
+                app.margin = sched.conservative_margin;
             }
             app.prediction = Some(prediction);
         }
     }
-    for app in &mut apps {
-        if let Some(pred) = &app.prediction {
-            if pred.low_confidence {
-                app.margin = sched.conservative_margin;
-            }
-        }
-    }
 
-    // Event-loop state, mirroring the closed loop's setup order; the shed
-    // RNG is forked only when admission is enabled so uncontrolled runs
-    // draw exactly what the closed loop draws.
+    // Event-loop state. The jitter RNG is forked only when resilience is
+    // enabled and the shed RNG only when admission is, so a run draws
+    // nothing for machinery it has switched off.
     let mut monitor = sparklite::monitor::ResourceMonitor::new(sched.cluster.nodes, sched.monitor);
     let mut t = 0.0f64;
     let mut oom_kills = 0usize;
@@ -628,7 +682,6 @@ pub fn run_service(
     // Placement scratch, hoisted out of the per-event placement calls.
     let mut place_scratch = crate::scheduler::PlaceScratch::default();
     let mut guard = 0usize;
-    let guard_limit = 500_000usize;
 
     let mut fault_cursor = faults.map(FaultPlan::cursor);
     let mut restore_at = vec![0.0f64; node_ids.len()];
@@ -655,9 +708,9 @@ pub fn run_service(
 
     loop {
         guard += 1;
-        if guard > guard_limit {
+        if guard > EVENT_GUARD {
             return Err(ColocateError::Config(
-                "service event loop exceeded its iteration guard".into(),
+                "scheduler event loop exceeded its iteration guard".into(),
             ));
         }
 
@@ -668,11 +721,7 @@ pub fn run_service(
             // the event's position in plan order.
             let idx = plan.len() - arrivals.remaining() - 1;
             jobs[idx].arrived = true;
-            let weight = config
-                .tenant_weights
-                .get(event.tenant)
-                .copied()
-                .unwrap_or(1.0);
+            let weight = tenant_weights.get(event.tenant).copied().unwrap_or(1.0);
             let pass = tenant_pass.entry(event.tenant).or_insert(0.0);
             let vft = pass.max(virtual_time) + apps[idx].input_gb / weight;
             *pass = vft;
@@ -683,7 +732,7 @@ pub fn run_service(
             }
         }
 
-        // 2. Faults, spot revocations, node restores (closed-loop order).
+        // 2. Faults, spot revocations, node restores.
         let crashes_before = resil.stats.executor_crashes;
         if let Some(cursor) = fault_cursor.as_mut() {
             while let Some(event) = cursor.pop_due(t) {
@@ -728,12 +777,7 @@ pub fn run_service(
         }
 
         // 3. Mark finishes and release their committed headroom.
-        for app in &mut apps {
-            if app.finished_at.is_none() && engine.app(app.engine_id).is_finished() {
-                app.finished_at = Some(t.max(app.ready_at));
-            }
-        }
-        release_finished(&apps, &mut jobs);
+        mark_finished(&mut apps, &mut jobs, &engine, t);
 
         // 4. Breaker recovery with hysteresis: after the cooldown the
         //    breaker closes only if the window has drained below the
@@ -755,13 +799,7 @@ pub fn run_service(
             }
             loop {
                 let eligible: Vec<usize> = (0..jobs.len())
-                    .filter(|&i| {
-                        jobs[i].arrived
-                            && !jobs[i].shed
-                            && jobs[i].admitted_at.is_none()
-                            && apps[i].finished_at.is_none()
-                            && jobs[i].profile_ready <= t
-                    })
+                    .filter(|&i| is_queued(&apps[i], &jobs[i]) && jobs[i].profile_ready <= t)
                     .collect();
                 if eligible.is_empty() {
                     break;
@@ -834,6 +872,12 @@ pub fn run_service(
             }
             breaker.maybe_trip(t);
         }
+        if let Some(trace) = trace.as_deref_mut() {
+            trace.push((
+                t,
+                node_ids.iter().map(|&n| engine.node_cpu_load(n)).collect(),
+            ));
+        }
 
         let depth = queued_count(&apps, &jobs);
         max_queue_depth = max_queue_depth.max(depth);
@@ -842,12 +886,7 @@ pub fn run_service(
         // 7. Mark finishes again (profiling credit alone can finish an
         //    app) and terminate once the plan is drained and every
         //    surviving job is done.
-        for app in &mut apps {
-            if app.finished_at.is_none() && engine.app(app.engine_id).is_finished() {
-                app.finished_at = Some(t.max(app.ready_at));
-            }
-        }
-        release_finished(&apps, &mut jobs);
+        mark_finished(&mut apps, &mut jobs, &engine, t);
         if arrivals.remaining() == 0
             && apps
                 .iter()
@@ -857,10 +896,12 @@ pub fn run_service(
             break;
         }
 
-        // 8. Next externally scheduled instant. Beyond the closed loop's
-        //    events this adds: the next arrival, profiling completions of
-        //    queued-but-unprofiled jobs (admission waits for the memory
-        //    estimate), and the breaker's recovery check.
+        // 8. Next externally scheduled instant: an application becoming
+        //    ready (profiling done or retry backoff elapsed), the next
+        //    arrival, profiling completions of queued-but-unprofiled jobs
+        //    (admission waits for the memory estimate), the breaker's
+        //    recovery check, a fault striking, a spot revocation falling
+        //    due or a crashed node's outage ending.
         let next_ready = apps
             .iter()
             .zip(jobs.iter())
@@ -872,9 +913,7 @@ pub fn run_service(
         let next_profile = if admission.enabled {
             jobs.iter()
                 .zip(apps.iter())
-                .filter(|(j, a)| {
-                    j.arrived && !j.shed && j.admitted_at.is_none() && a.finished_at.is_none()
-                })
+                .filter(|(j, a)| is_queued(a, j))
                 .map(|(j, _)| j.profile_ready)
                 .filter(|&r| r > t)
                 .fold(f64::INFINITY, f64::min)
@@ -886,23 +925,20 @@ pub fn run_service(
             .as_ref()
             .and_then(simkit::faults::FaultCursor::next_at)
             .unwrap_or(f64::INFINITY);
-        let next_restore = restore_at
-            .iter()
-            .copied()
-            .filter(|&r| r > t)
-            .fold(f64::INFINITY, f64::min);
-        let next_revoke = revoke_at
-            .iter()
-            .copied()
-            .filter(|&r| r > t)
-            .fold(f64::INFINITY, f64::min);
+        let next_deadline = |deadlines: &[f64]| {
+            deadlines
+                .iter()
+                .copied()
+                .filter(|&r| r > t)
+                .fold(f64::INFINITY, f64::min)
+        };
         let next_event = next_ready
             .min(next_arrival)
             .min(next_profile)
             .min(next_breaker)
             .min(next_fault)
-            .min(next_restore)
-            .min(next_revoke);
+            .min(next_deadline(&restore_at))
+            .min(next_deadline(&revoke_at));
         let next_done = engine.next_completion();
 
         match (next_done, next_event.is_finite()) {
@@ -915,6 +951,7 @@ pub fn run_service(
                 t += dt;
                 note_completion(&engine, &mut apps, sched, first);
                 engine.complete_executor(first)?;
+                // Complete any executors that finished at the same instant.
                 while let Some((dt2, id2)) = engine.next_completion() {
                     if dt2 > 1e-9 {
                         break;
@@ -929,9 +966,15 @@ pub fn run_service(
                 t = next_event;
             }
             (None, false) => {
+                // No executors, nothing becoming ready: the policy's model
+                // refused every node (a badly mis-fitted unified model can
+                // predict footprints beyond any budget). A real dispatcher
+                // still makes progress — force a minimum-slice placement
+                // on the emptiest node, capped at the free memory; if it
+                // pages, that is the baseline's deserved penalty.
                 if !force_place(&mut engine, &mut apps, sched, t)? {
                     return Err(ColocateError::Config(format!(
-                        "service stuck at t={t:.1}s with unfinished jobs"
+                        "schedule stuck at t={t:.1}s with unfinished jobs"
                     )));
                 }
             }
@@ -966,7 +1009,7 @@ pub fn run_service(
         .filter(|u| !u.is_finite())
         .count();
     audit.final_breaker_open = breaker.is_open();
-    Ok(ServiceOutcome {
+    let service = ServiceOutcome {
         jobs: out_jobs,
         makespan_secs: makespan,
         oom_kills,
@@ -982,17 +1025,27 @@ pub fn run_service(
         },
         faults: resil.stats,
         audit,
+    };
+    Ok(LoopOutcome {
+        service,
+        ready: apps.iter().map(|a| (a.ready_at, a.profiling)).collect(),
     })
 }
 
-/// Jobs sitting in the admission queue: arrived, not shed, not admitted,
-/// not finished (profiling credit alone can finish tiny jobs while they
-/// queue; with admission disabled this counts the arrived-but-unfinished
-/// backlog instead, since nothing is ever formally admitted).
+/// Whether a job sits in the admission queue: arrived, not shed, not
+/// admitted, not finished (profiling credit alone can finish tiny jobs
+/// while they queue; with admission disabled this is the
+/// arrived-but-unfinished backlog, since nothing is ever formally
+/// admitted).
+fn is_queued(app: &AppRt, job: &JobState) -> bool {
+    job.arrived && !job.shed && job.admitted_at.is_none() && app.finished_at.is_none()
+}
+
+/// Jobs sitting in the admission queue (see [`is_queued`]).
 fn queued_count(apps: &[AppRt], jobs: &[JobState]) -> usize {
     apps.iter()
         .zip(jobs.iter())
-        .filter(|(a, j)| j.arrived && !j.shed && j.admitted_at.is_none() && a.finished_at.is_none())
+        .filter(|(a, j)| is_queued(a, j))
         .count()
 }
 
@@ -1001,12 +1054,7 @@ fn queued_count(apps: &[AppRt], jobs: &[JobState]) -> usize {
 /// depending on scan order.
 fn pick_shed_victim(apps: &[AppRt], jobs: &[JobState], rng: Option<&mut SimRng>) -> Option<usize> {
     let queued: Vec<usize> = (0..jobs.len())
-        .filter(|&i| {
-            jobs[i].arrived
-                && !jobs[i].shed
-                && jobs[i].admitted_at.is_none()
-                && apps[i].finished_at.is_none()
-        })
+        .filter(|&i| is_queued(&apps[i], &jobs[i]))
         .collect();
     let max_vft = queued
         .iter()
@@ -1023,9 +1071,14 @@ fn pick_shed_victim(apps: &[AppRt], jobs: &[JobState], rng: Option<&mut SimRng>)
     }
 }
 
-/// Releases the committed headroom of every newly finished admitted job.
-fn release_finished(apps: &[AppRt], jobs: &mut [JobState]) {
-    for (app, job) in apps.iter().zip(jobs.iter_mut()) {
+/// Marks every application the engine reports finished (never before it
+/// became ready) and releases the committed headroom of finished
+/// admitted jobs.
+fn mark_finished(apps: &mut [AppRt], jobs: &mut [JobState], engine: &ClusterEngine, t: f64) {
+    for (app, job) in apps.iter_mut().zip(jobs.iter_mut()) {
+        if app.finished_at.is_none() && engine.app(app.engine_id).is_finished() {
+            app.finished_at = Some(t.max(app.ready_at));
+        }
         if !job.released && job.admitted_at.is_some() && app.finished_at.is_some() {
             job.released = true;
         }
@@ -1128,7 +1181,7 @@ pub struct OpenLoopStats {
 type RepFold = (Vec<f64>, ServiceFold);
 
 /// Scalar counters of one replication.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct ServiceFold {
     arrivals: usize,
     finished: usize,
@@ -1206,19 +1259,7 @@ pub fn evaluate_openloop(
         if plan.is_empty() {
             // A quiet replication (possible at tiny rates) contributes
             // empty folds instead of tripping run_service's empty check.
-            let empty = ServiceFold {
-                arrivals: 0,
-                finished: 0,
-                shed: 0,
-                oom_kills: 0,
-                deferrals: 0,
-                abstain_placements: 0,
-                breaker_trips: 0,
-                max_queue_depth: 0,
-                mean_queue_depth: 0.0,
-                faults: FaultStats::default(),
-            };
-            return Ok(vec![(Vec::new(), empty); entries.len()]);
+            return Ok(vec![(Vec::new(), ServiceFold::default()); entries.len()]);
         }
         let storm = FaultPlan::generate(
             seed ^ 0xC4A0_5EED,
@@ -1305,18 +1346,7 @@ pub fn evaluate_openloop(
             } else {
                 f64::NAN
             };
-            let mut agg = ServiceFold {
-                arrivals: 0,
-                finished: 0,
-                shed: 0,
-                oom_kills: 0,
-                deferrals: 0,
-                abstain_placements: 0,
-                breaker_trips: 0,
-                max_queue_depth: 0,
-                mean_queue_depth: 0.0,
-                faults: FaultStats::default(),
-            };
+            let mut agg = ServiceFold::default();
             let reps = folds[ei].len().max(1);
             for f in &folds[ei] {
                 agg.arrivals += f.arrivals;
@@ -1328,16 +1358,7 @@ pub fn evaluate_openloop(
                 agg.breaker_trips += f.breaker_trips;
                 agg.max_queue_depth = agg.max_queue_depth.max(f.max_queue_depth);
                 agg.mean_queue_depth += f.mean_queue_depth;
-                agg.faults.node_crashes += f.faults.node_crashes;
-                agg.faults.executor_crashes += f.faults.executor_crashes;
-                agg.faults.monitor_dropouts += f.faults.monitor_dropouts;
-                agg.faults.prediction_noise += f.faults.prediction_noise;
-                agg.faults.slices_requeued_gb += f.faults.slices_requeued_gb;
-                agg.faults.retries += f.faults.retries;
-                agg.faults.quarantines += f.faults.quarantines;
-                agg.faults.isolated_fallbacks += f.faults.isolated_fallbacks;
-                agg.faults.spot_preemptions += f.faults.spot_preemptions;
-                agg.faults.drains += f.faults.drains;
+                agg.faults += f.faults;
             }
             OpenLoopEntryStats {
                 label: e.label,
