@@ -1,25 +1,28 @@
 //! Opt-in journaled checkpointing for campaign runs.
 //!
-//! A campaign (see [`crate::harness`]) folds per-mix results into Welford
-//! accumulators strictly in mix-index order; the final statistics are a
-//! pure function of that ordered fold sequence. This module persists the
-//! sequence: each committed fold is appended to a [`simkit::journal`]
-//! record log, and on restart the harness replays the journaled folds,
-//! skips the mixes they cover, and continues — producing **bit-for-bit**
-//! the same `ScenarioStats`/`ChaosStats` as an uninterrupted run, at any
-//! worker count.
+//! A campaign (see [`crate::harness::evaluate_chaos_checkpointed`], which
+//! also runs every fault-free multi-policy campaign) folds per-mix results
+//! into Welford accumulators strictly in mix-index order; the final
+//! statistics are a pure function of that ordered fold sequence. This
+//! module persists the sequence: each committed mix is appended to a
+//! [`simkit::journal`] record log as one [`ChaosFold`] per entry, and on
+//! restart the harness replays the journaled folds, skips the mixes they
+//! cover, and continues — producing **bit-for-bit** the same
+//! `ChaosStats`/`MultiPolicyStats` as an uninterrupted run, at any worker
+//! count.
 //!
-//! The journal header binds the *campaign definition*: base seed, policy
-//! set, scenario, mix bounds, a catalog signature, and a signature of the
-//! scheduler + training configuration. The worker count is deliberately
-//! **excluded** — results are worker-count invariant (the PR 1 guarantee),
-//! so a sweep started under `SPARK_MOE_THREADS=4` may be resumed under
-//! `SPARK_MOE_THREADS=1` and vice versa. Anything else differing (another
-//! seed, another policy list, a changed catalog) is a different campaign,
-//! and [`simkit::journal::Journal::open`] refuses to resume it.
+//! The journal header binds the *campaign definition* ([`chaos_binding`]):
+//! base seed, scenario, mix count, the entry list, every [`ChaosSpec`]
+//! field, a catalog signature, and a signature of the scheduler +
+//! training configuration. The worker count is deliberately **excluded**
+//! — results are worker-count invariant, so a sweep started under
+//! `SPARK_MOE_THREADS=4` may be resumed under `SPARK_MOE_THREADS=1` and
+//! vice versa. Anything else differing (another seed, another policy
+//! list, a changed catalog) is a different campaign, and
+//! [`simkit::journal::Journal::open`] refuses to resume it.
 
 use crate::harness::{ChaosEntry, ChaosSpec, RunConfig};
-use crate::scheduler::{FaultStats, PolicyKind};
+use crate::scheduler::FaultStats;
 use crate::ColocateError;
 use simkit::journal::{fnv64, wire, KillPoint};
 use std::path::PathBuf;
@@ -90,61 +93,8 @@ pub fn config_signature(config: &RunConfig) -> u64 {
     fnv64(&buf)
 }
 
-fn binding_common(
-    kind: &str,
-    scenario: MixScenario,
-    catalog: &Catalog,
-    config: &RunConfig,
-    base_seed: u64,
-) -> Vec<u8> {
-    let mut buf = Vec::new();
-    push_str(&mut buf, kind);
-    wire::put_u64(&mut buf, base_seed);
-    wire::put_u64(&mut buf, scenario.label as u64);
-    wire::put_u64(&mut buf, scenario.apps as u64);
-    wire::put_u64(&mut buf, catalog_signature(catalog));
-    wire::put_u64(&mut buf, config_signature(config));
-    buf
-}
-
-/// Header binding for an `evaluate_scenario` campaign.
-#[must_use]
-pub fn scenario_binding(
-    policy: PolicyKind,
-    scenario: MixScenario,
-    catalog: &Catalog,
-    config: &RunConfig,
-    min_mixes: usize,
-    max_mixes: usize,
-    base_seed: u64,
-) -> Vec<u8> {
-    let mut buf = binding_common("scenario", scenario, catalog, config, base_seed);
-    push_str(&mut buf, policy.display_name());
-    wire::put_u64(&mut buf, min_mixes as u64);
-    wire::put_u64(&mut buf, max_mixes as u64);
-    buf
-}
-
-/// Header binding for an `evaluate_scenario_multi` campaign.
-#[must_use]
-pub fn multi_binding(
-    policies: &[PolicyKind],
-    scenario: MixScenario,
-    catalog: &Catalog,
-    config: &RunConfig,
-    mixes: usize,
-    base_seed: u64,
-) -> Vec<u8> {
-    let mut buf = binding_common("multi", scenario, catalog, config, base_seed);
-    wire::put_u64(&mut buf, mixes as u64);
-    wire::put_u64(&mut buf, policies.len() as u64);
-    for p in policies {
-        push_str(&mut buf, p.display_name());
-    }
-    buf
-}
-
-/// Header binding for an `evaluate_chaos` campaign.
+/// Header binding for an `evaluate_chaos` campaign (and so for every
+/// `evaluate_scenario_multi` campaign, its zero-intensity case).
 #[must_use]
 pub fn chaos_binding(
     entries: &[ChaosEntry],
@@ -155,7 +105,13 @@ pub fn chaos_binding(
     base_seed: u64,
     chaos: &ChaosSpec,
 ) -> Vec<u8> {
-    let mut buf = binding_common("chaos", scenario, catalog, config, base_seed);
+    let mut buf = Vec::new();
+    push_str(&mut buf, "chaos");
+    wire::put_u64(&mut buf, base_seed);
+    wire::put_u64(&mut buf, scenario.label as u64);
+    wire::put_u64(&mut buf, scenario.apps as u64);
+    wire::put_u64(&mut buf, catalog_signature(catalog));
+    wire::put_u64(&mut buf, config_signature(config));
     wire::put_u64(&mut buf, mixes as u64);
     wire::put_u64(&mut buf, entries.len() as u64);
     for e in entries {
@@ -170,40 +126,8 @@ pub fn chaos_binding(
     wire::put_f64(&mut buf, chaos.horizon_frac);
     wire::put_f64(&mut buf, chaos.spot_rate);
     wire::put_f64(&mut buf, chaos.spot_warning_secs);
+    wire::put_f64(&mut buf, chaos.noise_window_frac);
     buf
-}
-
-/// One committed fold of a single- or multi-policy campaign: the
-/// `(normalized STP, ANTT reduction %)` pair per policy, raw f64 bits.
-#[must_use]
-pub fn encode_folds(pairs: &[(f64, f64)]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(pairs.len() * 16);
-    for &(stp, antt) in pairs {
-        wire::put_f64(&mut buf, stp);
-        wire::put_f64(&mut buf, antt);
-    }
-    buf
-}
-
-/// Decodes [`encode_folds`] for `expect` policies.
-///
-/// # Errors
-///
-/// [`ColocateError::Checkpoint`] when the payload length does not match.
-pub fn decode_folds(payload: &[u8], expect: usize) -> Result<Vec<(f64, f64)>, ColocateError> {
-    let mut r = wire::Reader::new(payload);
-    let mut pairs = Vec::with_capacity(expect);
-    for _ in 0..expect {
-        pairs.push((r.f64()?, r.f64()?));
-    }
-    if !r.exhausted() {
-        return Err(ColocateError::Checkpoint(
-            simkit::journal::JournalError::Corrupt(
-                "campaign record longer than the policy set expects".into(),
-            ),
-        ));
-    }
-    Ok(pairs)
 }
 
 /// Per-entry fold of one chaos mix: normalized STP, ANTT reduction, OOM
@@ -271,19 +195,7 @@ pub fn decode_chaos_folds(payload: &[u8], expect: usize) -> Result<Vec<ChaosFold
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::ResilienceConfig;
-
-    #[test]
-    fn folds_round_trip_bitwise() {
-        let pairs = vec![(1.5, -3.25), (f64::MIN_POSITIVE, 0.1 + 0.2)];
-        let back = decode_folds(&encode_folds(&pairs), 2).unwrap();
-        for (a, b) in pairs.iter().zip(&back) {
-            assert_eq!(a.0.to_bits(), b.0.to_bits());
-            assert_eq!(a.1.to_bits(), b.1.to_bits());
-        }
-        assert!(decode_folds(&encode_folds(&pairs), 3).is_err());
-        assert!(decode_folds(&encode_folds(&pairs), 1).is_err());
-    }
+    use crate::scheduler::{PolicyKind, ResilienceConfig};
 
     #[test]
     fn chaos_folds_round_trip() {
@@ -315,40 +227,42 @@ mod tests {
         let catalog = Catalog::paper();
         let cfg = RunConfig::default();
         let sc = MixScenario { label: 1, apps: 2 };
-        let a = scenario_binding(PolicyKind::Moe, sc, &catalog, &cfg, 2, 8, 42);
-        let b = scenario_binding(PolicyKind::Moe, sc, &catalog, &cfg, 2, 8, 43);
-        let c = scenario_binding(PolicyKind::Oracle, sc, &catalog, &cfg, 2, 8, 42);
-        assert_ne!(a, b, "base seed must be bound");
-        assert_ne!(a, c, "policy must be bound");
+        let entry = |policy, resilience| ChaosEntry {
+            label: "plain",
+            policy,
+            resilience,
+        };
+        let plain = [entry(PolicyKind::Moe, ResilienceConfig::default())];
+        let spec = ChaosSpec::at_intensity(0.3);
+        let bind = |entries: &[ChaosEntry], cfg: &RunConfig, seed: u64, spec: &ChaosSpec| {
+            chaos_binding(entries, sc, &catalog, cfg, 4, seed, spec)
+        };
+        let a = bind(&plain, &cfg, 42, &spec);
+        let oracle = [entry(PolicyKind::Oracle, ResilienceConfig::default())];
+        let healed = [entry(PolicyKind::Moe, ResilienceConfig::self_healing())];
+        let wide = ChaosSpec {
+            noise_window_frac: 1.0,
+            ..spec
+        };
+        for (what, other) in [
+            ("base seed", bind(&plain, &cfg, 43, &spec)),
+            ("policy", bind(&oracle, &cfg, 42, &spec)),
+            ("resilience", bind(&healed, &cfg, 42, &spec)),
+            (
+                "intensity",
+                bind(&plain, &cfg, 42, &ChaosSpec::at_intensity(0.5)),
+            ),
+            ("noise window", bind(&plain, &cfg, 42, &wide)),
+        ] {
+            assert_ne!(a, other, "{what} must be bound");
+        }
         // Worker count is intentionally NOT bound.
         let mut threaded = cfg.clone();
         threaded.workers = Some(4);
-        let d = scenario_binding(PolicyKind::Moe, sc, &catalog, &threaded, 2, 8, 42);
-        assert_eq!(a, d, "worker count must not be bound");
-        // Chaos bindings see resilience and spec changes.
-        let entries = [ChaosEntry {
-            label: "plain",
-            policy: PolicyKind::Moe,
-            resilience: ResilienceConfig::default(),
-        }];
-        let healed = [ChaosEntry {
-            label: "plain",
-            policy: PolicyKind::Moe,
-            resilience: ResilienceConfig::self_healing(),
-        }];
-        let spec = ChaosSpec::at_intensity(0.3);
-        let e = chaos_binding(&entries, sc, &catalog, &cfg, 4, 42, &spec);
-        let f = chaos_binding(&healed, sc, &catalog, &cfg, 4, 42, &spec);
-        let g = chaos_binding(
-            &entries,
-            sc,
-            &catalog,
-            &cfg,
-            4,
-            42,
-            &ChaosSpec::at_intensity(0.5),
+        assert_eq!(
+            a,
+            bind(&plain, &threaded, 42, &spec),
+            "worker count must not be bound"
         );
-        assert_ne!(e, f, "resilience must be bound");
-        assert_ne!(e, g, "intensity must be bound");
     }
 }

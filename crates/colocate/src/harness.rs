@@ -3,18 +3,18 @@
 //! * [`isolated_times`] — per-task `C_iso`: each application alone on the
 //!   cluster with all memory (the denominator of every metric, §5.3);
 //! * [`run_policy`] — one mix under one policy, with normalised metrics;
-//! * [`evaluate_scenario`] — many random mixes of a Table 3 scenario,
-//!   replayed until the 95 % confidence half-width drops below 5 % of the
-//!   mean (§5.2), reporting mean and min–max bars (Fig. 6);
-//! * [`evaluate_chaos`] — shared-mix, shared-fault-plan chaos campaigns:
-//!   several `(policy, resilience)` entries replayed against identical
-//!   injected faults (Fig. 19);
+//! * [`evaluate_chaos`] — the one mix campaign (§5.2): a fixed number of
+//!   random mixes of a Table 3 scenario, each replayed under several
+//!   `(policy, resilience)` entries against one shared injected fault
+//!   plan, folded into mean and min–max bars (Fig. 19);
+//! * [`evaluate_scenario_multi`] — the same campaign at zero fault
+//!   intensity, one entry per policy (Figs. 6, 9 and 10);
 //! * [`bin_trace`] — converts event-sampled utilisation traces into the
 //!   time-binned per-node matrix of Fig. 7;
 //! * [`overhead_fractions`] — feature-extraction and calibration shares of
 //!   total execution time (Figs. 11/12).
 
-use crate::checkpoint::{self, CheckpointConfig};
+use crate::checkpoint::{self, ChaosFold, CheckpointConfig};
 use crate::metrics::{normalize, NormalizedMetrics};
 use crate::scheduler::{
     run_schedule, run_schedule_custom, run_schedule_with_faults, FaultStats, PolicyKind,
@@ -43,7 +43,7 @@ pub struct RunConfig {
     /// Worker threads for campaign fan-out; `None` defers to
     /// [`par::available_workers`] (the `SPARK_MOE_THREADS` override, then
     /// the host's parallelism). Campaign results are identical for every
-    /// value — see [`evaluate_scenario`].
+    /// value — see [`evaluate_chaos`].
     pub workers: Option<usize>,
 }
 
@@ -304,155 +304,6 @@ pub struct ScenarioStats {
     pub mixes: usize,
 }
 
-/// Evaluates one policy on one Table 3 scenario: draws random mixes and
-/// replays until the 95 % CI half-width of the normalised STP falls below
-/// 5 % of its mean (§5.2), bounded by `min_mixes`/`max_mixes`.
-///
-/// Replays fan out across [`RunConfig::effective_workers`] threads. Each
-/// replay is seeded by `base_seed + index` and results are folded through
-/// the [`Welford`] accumulators strictly in index order, with the §5.2
-/// stopping rule checked after every fold — exactly the serial semantics.
-/// Parallelism is purely speculative: the harness dispatches `min_mixes`
-/// replays up front, then one batch of `workers` at a time, and discards
-/// any speculative results past the convergence point. The returned
-/// [`ScenarioStats`] are therefore bit-for-bit identical for every worker
-/// count, including 1.
-///
-/// # Errors
-///
-/// Propagates per-mix failures.
-pub fn evaluate_scenario(
-    policy: PolicyKind,
-    scenario: MixScenario,
-    catalog: &Catalog,
-    config: &RunConfig,
-    min_mixes: usize,
-    max_mixes: usize,
-    base_seed: u64,
-) -> Result<ScenarioStats, ColocateError> {
-    evaluate_scenario_checkpointed(
-        policy, scenario, catalog, config, min_mixes, max_mixes, base_seed, None,
-    )
-}
-
-/// [`evaluate_scenario`] with opt-in crash-safe checkpointing.
-///
-/// With `ckpt` set, every committed fold is appended to the journal at
-/// `ckpt.path` as it happens. On startup the journal is validated against
-/// this campaign's definition (seed, policy, scenario, mix bounds,
-/// catalog and config signatures — but *not* the worker count), torn or
-/// corrupt tail records are truncated, and the surviving folds are
-/// replayed through the same Welford accumulators and §5.2 stopping rule
-/// before any new replay is dispatched. Because the statistics are a pure
-/// function of the index-ordered fold sequence, a resumed campaign is
-/// bit-for-bit identical to an uninterrupted one — under any
-/// `SPARK_MOE_THREADS`, including a different one than the original run.
-///
-/// # Errors
-///
-/// Propagates per-mix failures and journal I/O/validation failures
-/// ([`ColocateError::Checkpoint`]).
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_scenario_checkpointed(
-    policy: PolicyKind,
-    scenario: MixScenario,
-    catalog: &Catalog,
-    config: &RunConfig,
-    min_mixes: usize,
-    max_mixes: usize,
-    base_seed: u64,
-    ckpt: Option<&CheckpointConfig>,
-) -> Result<ScenarioStats, ColocateError> {
-    let workers = config.effective_workers();
-    let mut stp = Welford::new();
-    let mut antt = Welford::new();
-    let mut mix_rng = SimRng::seed_from(base_seed);
-    let mut count = 0; // replays folded into the accumulators
-    let mut done = false; // §5.2 stopping rule (or max_mixes) satisfied
-
-    let mut journal: Option<Journal> = None;
-    if let Some(c) = ckpt {
-        let binding = checkpoint::scenario_binding(
-            policy, scenario, catalog, config, min_mixes, max_mixes, base_seed,
-        );
-        let recovered = Journal::open(&c.path, &binding, c.flush_every)?;
-        // Replay committed folds exactly as the original run folded them,
-        // stopping where the original loop would have stopped.
-        for payload in &recovered.records {
-            if done {
-                break;
-            }
-            let pair = checkpoint::decode_folds(payload, 1)?;
-            stp.push(pair[0].0);
-            antt.push(pair[0].1);
-            count += 1;
-            done = count >= max_mixes || (count >= min_mixes && stp.ci_converged(0.05));
-        }
-        // Keep the scenario RNG aligned: the journaled folds consumed the
-        // first `count` draws of the one serial mix stream.
-        for _ in 0..count {
-            let _ = scenario.random_mix(catalog, &mut mix_rng);
-        }
-        let mut j = recovered.journal;
-        j.set_kill_point(c.kill_point);
-        journal = Some(j);
-    }
-
-    let mut dispatched = count; // replays handed to the pool (>= count)
-    'campaign: while !done && dispatched < max_mixes {
-        // Cover the mandatory replays first (the stopping rule cannot
-        // fire before min_mixes/two samples); later batches fill the pool.
-        let mandatory = min_mixes.max(2).saturating_sub(dispatched);
-        let batch = if mandatory > 0 {
-            mandatory.min(max_mixes - dispatched)
-        } else {
-            workers.min(max_mixes - dispatched)
-        };
-        // Mix drawing stays serial: the scenario RNG is one stream.
-        let mixes: Vec<Vec<MixEntry>> = (0..batch)
-            .map(|_| scenario.random_mix(catalog, &mut mix_rng))
-            .collect();
-        let first = dispatched;
-        let results = par::par_map_indexed(&mixes, workers, |i, mix| {
-            run_policy(policy, catalog, mix, config, base_seed + (first + i) as u64)
-        });
-        dispatched += batch;
-        for result in results {
-            let outcome = result?;
-            let pair = (
-                outcome.normalized.normalized_stp,
-                outcome.normalized.antt_reduction_pct,
-            );
-            // Journal the fold before consuming it, so a kill between
-            // append and fold costs one recomputed replay, never a
-            // double-counted one.
-            if let Some(j) = journal.as_mut() {
-                j.append(&checkpoint::encode_folds(&[pair]))?;
-            }
-            stp.push(pair.0);
-            antt.push(pair.1);
-            count += 1;
-            if count >= min_mixes && stp.ci_converged(0.05) {
-                break 'campaign;
-            }
-            if count >= max_mixes {
-                break 'campaign;
-            }
-        }
-    }
-    if let Some(j) = journal.as_mut() {
-        j.sync()?;
-    }
-    Ok(ScenarioStats {
-        scenario,
-        stp_mean: stp.mean(),
-        stp_min_max: (stp.min(), stp.max()),
-        antt_mean: antt.mean(),
-        antt_min_max: (antt.min(), antt.max()),
-        mixes: count,
-    })
-}
-
 /// Per-policy aggregates from a shared-mix campaign
 /// (see [`evaluate_scenario_multi`]).
 #[derive(Debug, Clone)]
@@ -493,13 +344,12 @@ pub fn evaluate_scenario_multi(
 
 /// [`evaluate_scenario_multi`] with opt-in crash-safe checkpointing.
 ///
-/// With `ckpt` set, each mix's per-policy fold is journaled as it
-/// commits (in mix-index order) and the computation proceeds one batch
-/// of `workers` mixes at a time, so an interrupted campaign loses at most
-/// the in-flight batch. On resume the journal is validated against this
-/// campaign definition, its folds are replayed, and only the remaining
-/// mixes are computed — bit-for-bit identical stats to an uninterrupted
-/// run, at any worker count. Without `ckpt` this is exactly
+/// The fault-free campaign is the chaos campaign at zero intensity: one
+/// [`ChaosEntry`] per policy (the run's own resilience block) replayed by
+/// [`evaluate_chaos_checkpointed`] under [`ChaosSpec::default`], whose
+/// fault plans are empty. With `ckpt` set, each mix's per-policy fold is
+/// journaled as it commits and an interrupted campaign resumes bit for
+/// bit at any worker count. Without `ckpt` this is exactly
 /// [`evaluate_scenario_multi`].
 ///
 /// # Errors
@@ -514,107 +364,35 @@ pub fn evaluate_scenario_multi_checkpointed(
     base_seed: u64,
     ckpt: Option<&CheckpointConfig>,
 ) -> Result<MultiPolicyStats, ColocateError> {
-    let workers = config.effective_workers();
-    let mut stp = vec![Welford::new(); policies.len()];
-    let mut antt = vec![Welford::new(); policies.len()];
-
-    // Train once per campaign; predictive policies share one bit-identical
-    // system (and thereby one campaign-wide prediction table).
-    let systems = trained_systems_for(policies, catalog, config, base_seed)?;
-
-    // Mix drawing stays serial: the scenario RNG is one stream.
-    let mut mix_rng = SimRng::seed_from(base_seed);
-    let all_mixes: Vec<Vec<MixEntry>> = (0..mixes)
-        .map(|_| scenario.random_mix(catalog, &mut mix_rng))
+    let entries: Vec<ChaosEntry> = policies
+        .iter()
+        .map(|&policy| ChaosEntry {
+            label: policy.display_name(),
+            policy,
+            resilience: config.scheduler.resilience,
+        })
         .collect();
-
-    let mut journal: Option<Journal> = None;
-    let mut start = 0; // first mix index not covered by the journal
-    if let Some(c) = ckpt {
-        let binding =
-            checkpoint::multi_binding(policies, scenario, catalog, config, mixes, base_seed);
-        let recovered = Journal::open(&c.path, &binding, c.flush_every)?;
-        for payload in recovered.records.iter().take(mixes) {
-            for (pi, (s, a)) in checkpoint::decode_folds(payload, policies.len())?
-                .into_iter()
-                .enumerate()
-            {
-                stp[pi].push(s);
-                antt[pi].push(a);
-            }
-            start += 1;
-        }
-        let mut j = recovered.journal;
-        j.set_kill_point(c.kill_point);
-        journal = Some(j);
-    }
-
-    let baselines = BaselineCache::new();
-    let mut next = start;
-    while next < mixes {
-        // Checkpointed runs commit one worker-batch at a time so a kill
-        // loses at most the in-flight batch; unjournaled runs keep the
-        // single full fan-out. Either way folds commit in index order,
-        // so the statistics are identical.
-        let batch = if journal.is_some() {
-            workers.min(mixes - next)
-        } else {
-            mixes - next
-        };
-        let first = next;
-        let per_mix = par::par_map_indexed(&all_mixes[first..first + batch], workers, |i, mix| {
-            let seed = base_seed + (first + i) as u64;
-            let iso = baselines.isolated_times(catalog, mix, &config.scheduler, seed)?;
-            policies
-                .iter()
-                .enumerate()
-                .map(|(pi, &policy)| {
-                    let schedule = run_schedule(
-                        policy,
-                        catalog,
-                        mix,
-                        systems[pi].as_ref(),
-                        &config.scheduler,
-                        seed,
-                    )?;
-                    let turnarounds: Vec<f64> =
-                        schedule.per_app.iter().map(|a| a.finished_at).collect();
-                    Ok(normalize(&iso, &turnarounds))
-                })
-                .collect::<Result<Vec<NormalizedMetrics>, ColocateError>>()
-        });
-        next += batch;
-
-        for result in per_mix {
-            let metrics = result?;
-            if let Some(j) = journal.as_mut() {
-                let pairs: Vec<(f64, f64)> = metrics
-                    .iter()
-                    .map(|n| (n.normalized_stp, n.antt_reduction_pct))
-                    .collect();
-                j.append(&checkpoint::encode_folds(&pairs))?;
-            }
-            for (pi, n) in metrics.iter().enumerate() {
-                stp[pi].push(n.normalized_stp);
-                antt[pi].push(n.antt_reduction_pct);
-            }
-        }
-    }
-    if let Some(j) = journal.as_mut() {
-        j.sync()?;
-    }
-
+    let stats = evaluate_chaos_checkpointed(
+        &entries,
+        scenario,
+        catalog,
+        config,
+        mixes,
+        base_seed,
+        &ChaosSpec::default(),
+        ckpt,
+    )?;
     Ok(MultiPolicyStats {
         scenario,
-        per_policy: policies
-            .iter()
-            .enumerate()
-            .map(|(pi, _)| ScenarioStats {
+        per_policy: stats
+            .per_entry
+            .into_iter()
+            .map(|e| ScenarioStats {
                 scenario,
-                stp_mean: stp[pi].mean(),
-                stp_min_max: (stp[pi].min(), stp[pi].max()),
-                antt_mean: antt[pi].mean(),
-                antt_min_max: (antt[pi].min(), antt[pi].max()),
+                stp_mean: e.stp_mean,
+                stp_min_max: e.stp_min_max,
+                antt_mean: e.antt_mean,
+                antt_min_max: e.antt_min_max,
                 mixes,
             })
             .collect(),
@@ -671,6 +449,62 @@ impl ChaosSpec {
             intensity,
             ..ChaosSpec::default()
         }
+    }
+
+    /// The fault plan this spec injects into one mix or replication run
+    /// under schedule seed `seed`, drawn from `seed ^ 0xC4A0_5EED` so the
+    /// fault stream is independent of the schedule stream.
+    ///
+    /// # Errors
+    ///
+    /// [`ColocateError::Config`] for a negative or non-finite intensity or
+    /// spot rate, a noise window outside `[0, 1]`, or a non-positive
+    /// horizon — the inputs [`FaultPlan::generate`] would panic on.
+    pub(crate) fn fault_plan(
+        &self,
+        seed: u64,
+        horizon_secs: f64,
+        nodes: usize,
+        apps: usize,
+    ) -> Result<FaultPlan, ColocateError> {
+        let non_negative = |x: f64| x.is_finite() && x >= 0.0;
+        let invalid = |msg: String| Err(ColocateError::Config(msg));
+        if !non_negative(self.intensity) {
+            return invalid(format!(
+                "chaos intensity {} must be finite and >= 0",
+                self.intensity
+            ));
+        }
+        if !non_negative(self.spot_rate) {
+            return invalid(format!(
+                "spot rate {} must be finite and >= 0",
+                self.spot_rate
+            ));
+        }
+        if !(0.0..=1.0).contains(&self.noise_window_frac) {
+            return invalid(format!(
+                "noise window fraction {} must lie in [0, 1]",
+                self.noise_window_frac
+            ));
+        }
+        if horizon_secs.is_nan() || horizon_secs <= 0.0 {
+            return invalid(format!("fault horizon {horizon_secs} s must be positive"));
+        }
+        Ok(FaultPlan::generate(
+            seed ^ 0xC4A0_5EED,
+            &FaultPlanConfig {
+                intensity: self.intensity,
+                horizon_secs,
+                nodes,
+                apps,
+                mean_outage_secs: self.mean_outage_secs,
+                mean_dropout_secs: self.mean_dropout_secs,
+                noise_sd: self.noise_sd,
+                spot_rate: self.spot_rate,
+                spot_warning_secs: self.spot_warning_secs,
+                noise_window_frac: self.noise_window_frac,
+            },
+        ))
     }
 }
 
@@ -776,13 +610,10 @@ pub fn evaluate_chaos_checkpointed(
 ) -> Result<ChaosStats, ColocateError> {
     let workers = config.effective_workers();
 
-    // Train once per distinct policy; entries share systems read-only.
-    let mut by_policy: HashMap<PolicyKind, Option<TrainedSystem>> = HashMap::new();
-    for e in entries {
-        if let std::collections::hash_map::Entry::Vacant(slot) = by_policy.entry(e.policy) {
-            slot.insert(trained_system_for(e.policy, catalog, config, base_seed)?);
-        }
-    }
+    // Train once per campaign; predictive entries share one bit-identical
+    // system (and thereby one campaign-wide prediction table).
+    let policies: Vec<PolicyKind> = entries.iter().map(|e| e.policy).collect();
+    let systems = trained_systems_for(&policies, catalog, config, base_seed)?;
     // Per-entry scheduler configs differ only in their resilience block.
     let cfgs: Vec<SchedulerConfig> = entries
         .iter()
@@ -798,29 +629,11 @@ pub fn evaluate_chaos_checkpointed(
         .map(|_| scenario.random_mix(catalog, &mut mix_rng))
         .collect();
 
-    let mut stp = vec![Welford::new(); entries.len()];
-    let mut antt = vec![Welford::new(); entries.len()];
-    let mut ooms = vec![Welford::new(); entries.len()];
-    let mut faults = vec![FaultStats::default(); entries.len()];
-    struct ChaosAccum<'a> {
-        stp: &'a mut [Welford],
-        antt: &'a mut [Welford],
-        ooms: &'a mut [Welford],
-        faults: &'a mut [FaultStats],
-    }
-    fn fold(acc: &mut ChaosAccum<'_>, per_entry: &[checkpoint::ChaosFold]) {
-        for (ei, (s, a, kills, f)) in per_entry.iter().enumerate() {
-            acc.stp[ei].push(*s);
-            acc.antt[ei].push(*a);
-            acc.ooms[ei].push(*kills as f64);
-            acc.faults[ei] += *f;
+    let mut acc = vec![EntryAccum::new(); entries.len()];
+    let fold = |acc: &mut [EntryAccum], per_entry: &[ChaosFold]| {
+        for (a, f) in acc.iter_mut().zip(per_entry) {
+            a.push(f);
         }
-    }
-    let mut acc = ChaosAccum {
-        stp: &mut stp,
-        antt: &mut antt,
-        ooms: &mut ooms,
-        faults: &mut faults,
     };
 
     let mut journal: Option<Journal> = None;
@@ -844,6 +657,10 @@ pub fn evaluate_chaos_checkpointed(
     let baselines = BaselineCache::new();
     let mut next = start;
     while next < mixes {
+        // Checkpointed runs commit one worker-batch at a time so a kill
+        // loses at most the in-flight batch; unjournaled runs keep the
+        // single full fan-out. Either way folds commit in index order,
+        // so the statistics are identical.
         let batch = if journal.is_some() {
             workers.min(mixes - next)
         } else {
@@ -855,21 +672,8 @@ pub fn evaluate_chaos_checkpointed(
             let iso = baselines.isolated_times(catalog, mix, &config.scheduler, seed)?;
             let jobs: Vec<(usize, f64)> = mix.iter().map(|e| (e.benchmark, e.size.gb())).collect();
             let horizon = (iso.iter().sum::<f64>() * chaos.horizon_frac).max(60.0);
-            let plan = FaultPlan::generate(
-                seed ^ 0xC4A0_5EED,
-                &FaultPlanConfig {
-                    intensity: chaos.intensity,
-                    horizon_secs: horizon,
-                    nodes: config.scheduler.cluster.nodes,
-                    apps: jobs.len(),
-                    mean_outage_secs: chaos.mean_outage_secs,
-                    mean_dropout_secs: chaos.mean_dropout_secs,
-                    noise_sd: chaos.noise_sd,
-                    spot_rate: chaos.spot_rate,
-                    spot_warning_secs: chaos.spot_warning_secs,
-                    noise_window_frac: chaos.noise_window_frac,
-                },
-            );
+            let plan =
+                chaos.fault_plan(seed, horizon, config.scheduler.cluster.nodes, jobs.len())?;
             entries
                 .iter()
                 .enumerate()
@@ -878,7 +682,7 @@ pub fn evaluate_chaos_checkpointed(
                         entry.policy,
                         catalog,
                         &jobs,
-                        by_policy[&entry.policy].as_ref(),
+                        systems[ei].as_ref(),
                         &cfgs[ei],
                         seed,
                         &plan,
@@ -893,7 +697,7 @@ pub fn evaluate_chaos_checkpointed(
                         schedule.faults,
                     ))
                 })
-                .collect::<Result<Vec<checkpoint::ChaosFold>, ColocateError>>()
+                .collect::<Result<Vec<ChaosFold>, ColocateError>>()
         });
         next += batch;
 
@@ -915,18 +719,45 @@ pub fn evaluate_chaos_checkpointed(
         mixes,
         per_entry: entries
             .iter()
-            .enumerate()
-            .map(|(ei, e)| ChaosPolicyStats {
+            .zip(acc)
+            .map(|(e, a)| ChaosPolicyStats {
                 label: e.label,
-                stp_mean: stp[ei].mean(),
-                stp_min_max: (stp[ei].min(), stp[ei].max()),
-                antt_mean: antt[ei].mean(),
-                antt_min_max: (antt[ei].min(), antt[ei].max()),
-                oom_kills_mean: ooms[ei].mean(),
-                faults: faults[ei],
+                stp_mean: a.stp.mean(),
+                stp_min_max: (a.stp.min(), a.stp.max()),
+                antt_mean: a.antt.mean(),
+                antt_min_max: (a.antt.min(), a.antt.max()),
+                oom_kills_mean: a.ooms.mean(),
+                faults: a.faults,
             })
             .collect(),
     })
+}
+
+/// Running aggregates of one chaos-campaign entry, folded in mix order.
+#[derive(Clone)]
+struct EntryAccum {
+    stp: Welford,
+    antt: Welford,
+    ooms: Welford,
+    faults: FaultStats,
+}
+
+impl EntryAccum {
+    fn new() -> Self {
+        EntryAccum {
+            stp: Welford::new(),
+            antt: Welford::new(),
+            ooms: Welford::new(),
+            faults: FaultStats::default(),
+        }
+    }
+
+    fn push(&mut self, &(stp, antt, kills, faults): &ChaosFold) {
+        self.stp.push(stp);
+        self.antt.push(antt);
+        self.ooms.push(kills as f64);
+        self.faults += faults;
+    }
 }
 
 /// Converts an event-sampled trace (`(time, per-node load)`) into a
@@ -1085,22 +916,26 @@ mod tests {
     }
 
     #[test]
-    fn scenario_evaluation_aggregates_mixes() {
+    fn multi_campaign_aggregates_mixes() {
         let catalog = Catalog::paper();
         let cfg = small_run_config();
-        let stats = evaluate_scenario(
-            PolicyKind::Oracle,
+        let stats = evaluate_scenario_multi(
+            &[PolicyKind::Oracle, PolicyKind::Pairwise],
             MixScenario { label: 1, apps: 2 },
             &catalog,
             &cfg,
-            2,
-            4,
+            3,
             11,
         )
         .unwrap();
-        assert!(stats.mixes >= 2);
-        assert!(stats.stp_min_max.0 <= stats.stp_mean);
-        assert!(stats.stp_mean <= stats.stp_min_max.1);
+        assert_eq!(stats.per_policy.len(), 2);
+        for s in &stats.per_policy {
+            assert_eq!(s.mixes, 3);
+            assert!(s.stp_min_max.0 <= s.stp_mean);
+            assert!(s.stp_mean <= s.stp_min_max.1);
+            assert!(s.antt_min_max.0 <= s.antt_mean);
+            assert!(s.antt_mean <= s.antt_min_max.1);
+        }
     }
 
     #[test]

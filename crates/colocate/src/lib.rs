@@ -27,10 +27,11 @@
 //!   weighted fair queueing, and overload is met with load shedding,
 //!   backpressure and a circuit breaker that degrades to isolated
 //!   scheduling; its event loop also runs every closed-system schedule;
-//! * [`harness`] — campaign runners: replay a mix until the 95 % CI
-//!   half-width is below 5 % (§5.2), produce utilisation traces (Fig. 7),
-//!   overhead breakdowns (Figs. 11/12) and interference studies
-//!   (Figs. 14/15);
+//! * [`harness`] — campaign runners: one mix-campaign loop replays a
+//!   fixed number of random mixes under every policy (§5.2; fault-free
+//!   for Figs. 6/9/10, with injected faults for Fig. 19), plus
+//!   utilisation traces (Fig. 7), overhead breakdowns (Figs. 11/12) and
+//!   interference studies (Figs. 14/15);
 //! * [`invariants`] — the chaos-search battery: runs a
 //!   [`simkit::chaoskit`] episode through the scheduler or the service
 //!   and checks the contracts every run must honour (job conservation,

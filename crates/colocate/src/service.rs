@@ -40,7 +40,7 @@ use crate::scheduler::{
 use crate::training::TrainedSystem;
 use crate::ColocateError;
 use simkit::arrivals::{ArrivalPlan, ArrivalPlanConfig, ArrivalProcess};
-use simkit::faults::{FaultPlan, FaultPlanConfig};
+use simkit::faults::FaultPlan;
 use simkit::stats::TimeWeighted;
 use simkit::{par, SimRng, SimTime};
 use sparklite::dynalloc;
@@ -1222,15 +1222,9 @@ pub fn evaluate_openloop(
 ) -> Result<OpenLoopStats, ColocateError> {
     let workers = config.effective_workers();
 
-    // Train once per distinct policy; entries share systems read-only.
-    let mut by_policy: HashMap<PolicyKind, Option<TrainedSystem>> = HashMap::new();
-    for e in entries {
-        if let std::collections::hash_map::Entry::Vacant(slot) = by_policy.entry(e.policy) {
-            slot.insert(crate::harness::trained_system_for(
-                e.policy, catalog, config, base_seed,
-            )?);
-        }
-    }
+    // Train once per campaign; predictive entries share one system.
+    let policies: Vec<PolicyKind> = entries.iter().map(|e| e.policy).collect();
+    let systems = crate::harness::trained_systems_for(&policies, catalog, config, base_seed)?;
     let cfgs: Vec<ServiceConfig> = entries
         .iter()
         .map(|e| ServiceConfig {
@@ -1256,26 +1250,19 @@ pub fn evaluate_openloop(
     let per_rep = par::par_map_indexed(&reps, workers, |i, _| {
         let seed = base_seed + i as u64;
         let plan = ArrivalPlan::generate(seed ^ 0xA441_5EED, &arrival_cfg);
+        // Drawn before the quiet-replication exit so a malformed chaos
+        // spec is refused even when no job arrives.
+        let storm = spec.chaos.fault_plan(
+            seed,
+            spec.horizon_secs,
+            config.scheduler.cluster.nodes,
+            plan.len(),
+        )?;
         if plan.is_empty() {
             // A quiet replication (possible at tiny rates) contributes
             // empty folds instead of tripping run_service's empty check.
             return Ok(vec![(Vec::new(), ServiceFold::default()); entries.len()]);
         }
-        let storm = FaultPlan::generate(
-            seed ^ 0xC4A0_5EED,
-            &FaultPlanConfig {
-                intensity: spec.chaos.intensity,
-                horizon_secs: spec.horizon_secs,
-                nodes: config.scheduler.cluster.nodes,
-                apps: plan.len(),
-                mean_outage_secs: spec.chaos.mean_outage_secs,
-                mean_dropout_secs: spec.chaos.mean_dropout_secs,
-                noise_sd: spec.chaos.noise_sd,
-                spot_rate: spec.chaos.spot_rate,
-                spot_warning_secs: spec.chaos.spot_warning_secs,
-                noise_window_frac: spec.chaos.noise_window_frac,
-            },
-        );
         entries
             .iter()
             .enumerate()
@@ -1284,7 +1271,7 @@ pub fn evaluate_openloop(
                     entry.policy,
                     catalog,
                     &plan,
-                    by_policy[&entry.policy].as_ref(),
+                    systems[ei].as_ref(),
                     &cfgs[ei],
                     seed,
                     Some(&storm),

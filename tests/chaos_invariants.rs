@@ -10,6 +10,9 @@ use colocate::harness::{
 use colocate::scheduler::{
     run_schedule_custom, run_schedule_with_faults, PolicyKind, ResilienceConfig, SchedulerConfig,
 };
+use colocate::service::{evaluate_openloop, AdmissionConfig, OpenLoopEntry, OpenLoopSpec};
+use colocate::ColocateError;
+use simkit::arrivals::ArrivalProcess;
 use simkit::faults::{FaultPlan, FaultPlanConfig};
 use sparklite::cluster::ClusterSpec;
 use workloads::{Catalog, MixScenario};
@@ -282,4 +285,55 @@ fn self_healing_beats_plain_moe_under_heavy_faults() {
         healed_antt / 3.0,
         plain_antt / 3.0
     );
+}
+
+/// A malformed chaos spec is a typed configuration error from both
+/// campaign runners, never a panic out of the fault-plan generator.
+#[test]
+fn invalid_chaos_specs_are_config_errors() {
+    let catalog = Catalog::paper();
+    let config = RunConfig {
+        scheduler: small_config(4),
+        workers: Some(1),
+        ..Default::default()
+    };
+    let entries = [ChaosEntry {
+        label: "oracle",
+        policy: PolicyKind::Oracle,
+        resilience: ResilienceConfig::default(),
+    }];
+    let err = evaluate_chaos(
+        &entries,
+        MixScenario { label: 1, apps: 2 },
+        &catalog,
+        &config,
+        1,
+        7,
+        &ChaosSpec::at_intensity(-0.1),
+    )
+    .unwrap_err();
+    assert!(matches!(err, ColocateError::Config(_)), "got: {err}");
+
+    let spec = OpenLoopSpec {
+        process: ArrivalProcess::Poisson { rate_per_sec: 0.01 },
+        horizon_secs: 1_000.0,
+        tenants: 1,
+        tenant_weights: Vec::new(),
+        job_classes: jobs_of(&catalog, &[("HB.Sort", 30.0)]),
+        max_jobs: 2,
+        chaos: ChaosSpec {
+            intensity: 0.3,
+            noise_window_frac: 1.5,
+            ..ChaosSpec::default()
+        },
+        replications: 1,
+    };
+    let open = [OpenLoopEntry {
+        label: "oracle",
+        policy: PolicyKind::Oracle,
+        admission: AdmissionConfig::default(),
+        resilience: ResilienceConfig::default(),
+    }];
+    let err = evaluate_openloop(&open, &catalog, &config, &spec, 7).unwrap_err();
+    assert!(matches!(err, ColocateError::Config(_)), "got: {err}");
 }

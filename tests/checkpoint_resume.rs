@@ -9,9 +9,9 @@
 
 use colocate::checkpoint::CheckpointConfig;
 use colocate::harness::{
-    evaluate_chaos, evaluate_chaos_checkpointed, evaluate_scenario, evaluate_scenario_checkpointed,
-    evaluate_scenario_multi, evaluate_scenario_multi_checkpointed, ChaosEntry, ChaosSpec,
-    RunConfig, ScenarioStats,
+    evaluate_chaos, evaluate_chaos_checkpointed, evaluate_scenario_multi,
+    evaluate_scenario_multi_checkpointed, ChaosEntry, ChaosSpec, MultiPolicyStats, RunConfig,
+    ScenarioStats,
 };
 use colocate::scheduler::{PolicyKind, ResilienceConfig, SchedulerConfig};
 use colocate::ColocateError;
@@ -85,72 +85,18 @@ fn assert_kill_point(err: &ColocateError) {
     );
 }
 
-/// Kill after two committed folds, then resume under a *different* worker
-/// count: the resumed stats match an uninterrupted unjournaled run bit
-/// for bit, and a second resume (pure journal replay) matches again.
-#[test]
-fn scenario_kill_resume_is_bitwise_identical_across_worker_counts() {
-    let catalog = Catalog::paper();
-    let baseline = evaluate_scenario(
-        PolicyKind::Oracle,
-        SCENARIO,
-        &catalog,
-        &config(1),
-        3,
-        5,
-        SEED,
-    )
-    .unwrap();
-
-    let dir = tmp_dir("scenario");
-    let mut ckpt = CheckpointConfig::new(dir.join("campaign.journal"));
-    ckpt.kill_point = Some(KillPoint {
-        after_appends: 2,
-        torn: false,
-    });
-    let err = evaluate_scenario_checkpointed(
-        PolicyKind::Oracle,
-        SCENARIO,
-        &catalog,
-        &config(1),
-        3,
-        5,
-        SEED,
-        Some(&ckpt),
-    )
-    .unwrap_err();
-    assert_kill_point(&err);
-
-    // Resume with four workers where the original ran with one.
-    ckpt.kill_point = None;
-    let resumed = evaluate_scenario_checkpointed(
-        PolicyKind::Oracle,
-        SCENARIO,
-        &catalog,
-        &config(4),
-        3,
-        5,
-        SEED,
-        Some(&ckpt),
-    )
-    .unwrap();
-    assert_scenario_stats_bitwise_eq(&baseline, &resumed, "resume at workers=4");
-
-    // A completed journal replays without recomputing anything.
-    let replayed = evaluate_scenario_checkpointed(
-        PolicyKind::Oracle,
-        SCENARIO,
-        &catalog,
-        &config(1),
-        3,
-        5,
-        SEED,
-        Some(&ckpt),
-    )
-    .unwrap();
-    assert_scenario_stats_bitwise_eq(&baseline, &replayed, "full replay at workers=1");
-    let _ = std::fs::remove_dir_all(&dir);
+fn assert_multi_stats_bitwise_eq(a: &MultiPolicyStats, b: &MultiPolicyStats, what: &str) {
+    assert_eq!(
+        a.per_policy.len(),
+        b.per_policy.len(),
+        "{what}: policy count"
+    );
+    for (x, y) in a.per_policy.iter().zip(&b.per_policy) {
+        assert_scenario_stats_bitwise_eq(x, y, what);
+    }
 }
+
+const POLICIES: [PolicyKind; 2] = [PolicyKind::Oracle, PolicyKind::Pairwise];
 
 /// A crash mid-append leaves a torn trailing record; recovery drops the
 /// torn bytes, recomputes that one replay, and still matches the
@@ -158,16 +104,8 @@ fn scenario_kill_resume_is_bitwise_identical_across_worker_counts() {
 #[test]
 fn torn_final_record_is_dropped_and_recomputed() {
     let catalog = Catalog::paper();
-    let baseline = evaluate_scenario(
-        PolicyKind::Oracle,
-        SCENARIO,
-        &catalog,
-        &config(1),
-        3,
-        5,
-        SEED,
-    )
-    .unwrap();
+    let baseline =
+        evaluate_scenario_multi(&POLICIES, SCENARIO, &catalog, &config(1), 4, SEED).unwrap();
 
     let dir = tmp_dir("torn");
     let mut ckpt = CheckpointConfig::new(dir.join("campaign.journal"));
@@ -175,34 +113,30 @@ fn torn_final_record_is_dropped_and_recomputed() {
         after_appends: 1,
         torn: true,
     });
-    let err = evaluate_scenario_checkpointed(
-        PolicyKind::Oracle,
+    let err = evaluate_scenario_multi_checkpointed(
+        &POLICIES,
         SCENARIO,
         &catalog,
         &config(1),
-        3,
-        5,
+        4,
         SEED,
         Some(&ckpt),
     )
     .unwrap_err();
     assert_kill_point(&err);
 
-    // The torn record must be visible on disk before recovery: the file is
-    // longer than one committed record's worth of journal.
     ckpt.kill_point = None;
-    let resumed = evaluate_scenario_checkpointed(
-        PolicyKind::Oracle,
+    let resumed = evaluate_scenario_multi_checkpointed(
+        &POLICIES,
         SCENARIO,
         &catalog,
         &config(4),
-        3,
-        5,
+        4,
         SEED,
         Some(&ckpt),
     )
     .unwrap();
-    assert_scenario_stats_bitwise_eq(&baseline, &resumed, "resume past torn tail");
+    assert_multi_stats_bitwise_eq(&baseline, &resumed, "resume past torn tail");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -211,9 +145,8 @@ fn torn_final_record_is_dropped_and_recomputed() {
 #[test]
 fn multi_policy_kill_resume_is_bitwise_identical() {
     let catalog = Catalog::paper();
-    let policies = [PolicyKind::Oracle, PolicyKind::Pairwise];
     let baseline =
-        evaluate_scenario_multi(&policies, SCENARIO, &catalog, &config(1), 4, SEED).unwrap();
+        evaluate_scenario_multi(&POLICIES, SCENARIO, &catalog, &config(1), 4, SEED).unwrap();
 
     let dir = tmp_dir("multi");
     let mut ckpt = CheckpointConfig::new(dir.join("campaign.journal"));
@@ -222,7 +155,7 @@ fn multi_policy_kill_resume_is_bitwise_identical() {
         torn: false,
     });
     let err = evaluate_scenario_multi_checkpointed(
-        &policies,
+        &POLICIES,
         SCENARIO,
         &catalog,
         &config(1),
@@ -236,7 +169,7 @@ fn multi_policy_kill_resume_is_bitwise_identical() {
     ckpt.kill_point = None;
     for workers in [1usize, 4] {
         let resumed = evaluate_scenario_multi_checkpointed(
-            &policies,
+            &POLICIES,
             SCENARIO,
             &catalog,
             &config(workers),
@@ -245,10 +178,11 @@ fn multi_policy_kill_resume_is_bitwise_identical() {
             Some(&ckpt),
         )
         .unwrap();
-        assert_eq!(baseline.per_policy.len(), resumed.per_policy.len());
-        for (b, r) in baseline.per_policy.iter().zip(resumed.per_policy.iter()) {
-            assert_scenario_stats_bitwise_eq(b, r, &format!("multi resume at workers={workers}"));
-        }
+        assert_multi_stats_bitwise_eq(
+            &baseline,
+            &resumed,
+            &format!("multi resume at workers={workers}"),
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -327,29 +261,20 @@ fn journal_refuses_a_different_campaign_definition() {
     let catalog = Catalog::paper();
     let dir = tmp_dir("binding");
     let ckpt = CheckpointConfig::new(dir.join("campaign.journal"));
-    evaluate_scenario_checkpointed(
-        PolicyKind::Oracle,
-        SCENARIO,
-        &catalog,
-        &config(1),
-        3,
-        5,
-        SEED,
-        Some(&ckpt),
-    )
-    .unwrap();
+    let run = |seed: u64| {
+        evaluate_scenario_multi_checkpointed(
+            &POLICIES,
+            SCENARIO,
+            &catalog,
+            &config(1),
+            3,
+            seed,
+            Some(&ckpt),
+        )
+    };
+    run(SEED).unwrap();
 
-    let err = evaluate_scenario_checkpointed(
-        PolicyKind::Oracle,
-        SCENARIO,
-        &catalog,
-        &config(1),
-        3,
-        5,
-        SEED + 1,
-        Some(&ckpt),
-    )
-    .unwrap_err();
+    let err = run(SEED + 1).unwrap_err();
     assert!(
         matches!(
             err,
