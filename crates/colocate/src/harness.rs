@@ -566,11 +566,13 @@ pub struct ChaosStats {
 /// [`BaselineCache`]. Mixes fan out across
 /// [`RunConfig::effective_workers`] threads with results folded in index
 /// order, so the returned stats are bit-for-bit identical for every
-/// worker count.
+/// worker count. The offline system is trained once and shared by every
+/// predictive entry.
 ///
 /// # Errors
 ///
-/// Propagates training and per-mix scheduler failures.
+/// [`ColocateError::Config`] for a malformed `chaos` spec; propagates
+/// training and per-mix scheduler failures.
 pub fn evaluate_chaos(
     entries: &[ChaosEntry],
     scenario: MixScenario,
@@ -587,16 +589,19 @@ pub fn evaluate_chaos(
 
 /// [`evaluate_chaos`] with opt-in crash-safe checkpointing.
 ///
-/// Works like [`evaluate_scenario_multi_checkpointed`]: with `ckpt` set,
-/// each mix's per-entry fold (STP, ANTT, OOM kills, fault counters) is
-/// journaled as it commits, mixes are computed one worker-batch at a
-/// time, and a resumed campaign — even one killed mid fault plan, since
-/// plans are regenerated deterministically from `(seed, spec)` — yields
-/// bit-for-bit identical [`ChaosStats`] at any worker count.
+/// With `ckpt` set, the journal is validated against this campaign's
+/// [`checkpoint::chaos_binding`], its folds are replayed, and each new
+/// mix's per-entry fold (STP, ANTT, OOM kills, fault counters) is
+/// journaled as it commits, one worker-batch at a time, so a kill loses
+/// at most the in-flight batch. A resumed campaign — even one killed mid
+/// fault plan, since plans are regenerated deterministically from
+/// `(seed, spec)` — yields bit-for-bit identical [`ChaosStats`] at any
+/// worker count.
 ///
 /// # Errors
 ///
-/// Propagates training, per-mix scheduler and journal failures.
+/// [`ColocateError::Config`] for a malformed `chaos` spec; propagates
+/// training, per-mix scheduler and journal failures.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_chaos_checkpointed(
     entries: &[ChaosEntry],
