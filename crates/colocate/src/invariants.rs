@@ -5,9 +5,9 @@
 //!
 //! * **job conservation** — every planned job finishes or is shed,
 //!   exactly once; shed jobs never start, kept jobs never vanish;
-//! * **timestamp sanity** — admissions happen at or after arrival,
-//!   finishes at or after admission, everything finite; the reported
-//!   makespan is exactly the last finish;
+//! * **timestamp sanity** — admissions and finishes happen at or after
+//!   arrival, finishes at or after admission, everything finite; the
+//!   reported makespan is exactly the last finish;
 //! * **committed-GB accounting** — the admission layer's booked footprint
 //!   sum never goes negative and never exceeds the headroom budget with
 //!   more than one booking in flight (the single-booking empty-cluster
@@ -232,7 +232,7 @@ fn check_closed(outcome: &crate::scheduler::ScheduleOutcome) -> Option<Violation
 
 /// The open-system battery: job conservation, timestamp ordering,
 /// makespan accounting, and the admission layer's audit counters.
-fn check_service(outcome: &ServiceOutcome) -> Option<Violation> {
+pub(crate) fn check_service(outcome: &ServiceOutcome) -> Option<Violation> {
     let mut finished = 0usize;
     let mut shed = 0usize;
     let mut last = 0.0f64;
@@ -264,6 +264,12 @@ fn check_service(outcome: &ServiceOutcome) -> Option<Violation> {
                     return Some(Violation::new(
                         "job-conservation",
                         format!("job {i} finished at non-finite {f}"),
+                    ));
+                }
+                if f < job.arrived_at {
+                    return Some(Violation::new(
+                        "timestamp-order",
+                        format!("job {i} finished at {f} before arrival {}", job.arrived_at),
                     ));
                 }
                 if let Some(adm) = job.admitted_at {

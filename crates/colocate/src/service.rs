@@ -1071,13 +1071,24 @@ fn pick_shed_victim(apps: &[AppRt], jobs: &[JobState], rng: Option<&mut SimRng>)
     }
 }
 
-/// Marks every application the engine reports finished (never before it
-/// became ready) and releases the committed headroom of finished
-/// admitted jobs.
+/// Marks every arrived, unshed application the engine reports finished
+/// (never before it became ready) and releases the committed headroom of
+/// finished admitted jobs. Profiling credit alone can finish a small job
+/// before admission grants it a ready time; such a job books nothing and
+/// is done once its profiling is.
 fn mark_finished(apps: &mut [AppRt], jobs: &mut [JobState], engine: &ClusterEngine, t: f64) {
     for (app, job) in apps.iter_mut().zip(jobs.iter_mut()) {
-        if app.finished_at.is_none() && engine.app(app.engine_id).is_finished() {
-            app.finished_at = Some(t.max(app.ready_at));
+        if job.arrived
+            && !job.shed
+            && app.finished_at.is_none()
+            && engine.app(app.engine_id).is_finished()
+        {
+            let ready = if job.admitted_at.is_some() {
+                app.ready_at
+            } else {
+                job.profile_ready
+            };
+            app.finished_at = Some(t.max(ready));
         }
         if !job.released && job.admitted_at.is_some() && app.finished_at.is_some() {
             job.released = true;
@@ -1527,6 +1538,58 @@ mod tests {
             }
         }
         assert!(out.max_queue_depth <= config.admission.queue_capacity + 1);
+    }
+
+    #[test]
+    fn jobs_finished_by_profiling_credit_under_admission_finish_finitely() {
+        // A 0.05 GB job is wholly consumed by its profiling runs, so the
+        // engine reports it finished before admission ever grants it a
+        // ready time.
+        let catalog = Catalog::paper();
+        let sort = catalog.by_name("HB.Sort").unwrap().index();
+        let mut rng = SimRng::seed_from(3);
+        let system = crate::training::train_system(
+            &catalog,
+            &crate::training::TrainingConfig::default(),
+            &mut rng,
+        )
+        .unwrap();
+        let plan = ArrivalPlan::generate(
+            17,
+            &ArrivalPlanConfig {
+                process: ArrivalProcess::Poisson {
+                    rate_per_sec: 0.005,
+                },
+                horizon_secs: 5_000.0,
+                tenants: 2,
+                job_classes: 2,
+                max_jobs: 6,
+            },
+        );
+        assert_eq!(plan.len(), 6);
+        let config = ServiceConfig {
+            admission: AdmissionConfig::controlled(),
+            ..service_config(small_sched(), vec![(sort, 0.05), (sort, 30.0)])
+        };
+        let out = run_service(
+            PolicyKind::Moe,
+            &catalog,
+            &plan,
+            Some(&system),
+            &config,
+            4,
+            None,
+        )
+        .unwrap();
+        assert!(out.makespan_secs.is_finite());
+        let tiny = out.jobs.iter().filter(|j| j.input_gb < 1.0 && !j.shed);
+        assert!(tiny.clone().count() > 0, "no credit-finished job survived");
+        for j in tiny {
+            let done = j.finished_at.unwrap();
+            assert!(done.is_finite() && done >= j.arrived_at, "{j:?}");
+            assert!(j.admitted_at.is_none(), "{j:?}");
+        }
+        assert_eq!(crate::invariants::check_service(&out), None);
     }
 
     #[test]
