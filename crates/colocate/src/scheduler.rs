@@ -39,7 +39,7 @@ use crate::profiling::{ProfilingConfig, ProfilingCost};
 use crate::service::{run_loop, AdmissionConfig};
 use crate::training::{TrainedSystem, TrainingConfig};
 use crate::ColocateError;
-use mlkit::regression::CurveFamily;
+use mlkit::regression::{CurveFamily, FittedCurve};
 use simkit::arrivals::ArrivalPlan;
 use simkit::faults::{FaultEvent, FaultKind, FaultPlan};
 use simkit::SimRng;
@@ -535,6 +535,15 @@ fn run_closed(
     })
 }
 
+/// The runtime record of engine application `owner`. Applications are
+/// submitted to the engine in lockstep with `apps`, so engine app `i` is
+/// `apps[i]`.
+fn owner_mut(apps: &mut [AppRt], owner: AppId) -> Option<&mut AppRt> {
+    let app = apps.get_mut(owner.index())?;
+    debug_assert_eq!(app.engine_id, owner);
+    Some(app)
+}
+
 /// Completion hook for the self-healing layer: a successfully finished
 /// executor reports its observed footprint to the margin controller,
 /// clears the owner's crash streak and lifts any isolated-fallback
@@ -555,7 +564,7 @@ pub(crate) fn note_completion(
         return;
     };
     let (owner, actual, reserved) = (exec.app(), exec.actual_gb(), exec.reserved_gb());
-    if let Some(app) = apps.iter_mut().find(|a| a.engine_id == owner) {
+    if let Some(app) = owner_mut(apps, owner) {
         observe_footprint_error(app, actual, reserved, config.resilience.margin_alpha);
         app.failures = 0;
         app.isolated_fallback = false;
@@ -601,7 +610,7 @@ pub(crate) fn apply_fault(
             resil.stats.executor_crashes += 1;
             resil.stats.slices_requeued_gb += slice;
             if config.resilience.enabled {
-                if let Some(app) = apps.iter_mut().find(|a| a.engine_id == owner) {
+                if let Some(app) = owner_mut(apps, owner) {
                     schedule_retry(app, t, &config.resilience, resil, false);
                 }
             }
@@ -701,7 +710,7 @@ fn fail_and_requeue(
     }
     if config.resilience.enabled {
         for owner in owners {
-            if let Some(app) = apps.iter_mut().find(|a| a.engine_id == owner) {
+            if let Some(app) = owner_mut(apps, owner) {
                 schedule_retry(app, t, &config.resilience, resil, false);
             }
         }
@@ -745,25 +754,34 @@ pub(crate) fn build_predictor(
 }
 
 /// Reusable buffers for [`place_predictive`], owned by the event loop so
-/// per-event placement passes allocate nothing at steady state — the PR 4
-/// ranked/candidate pattern hoisted one level further, out of the call
-/// itself.
+/// per-event placement passes allocate nothing at steady state.
+///
+/// They also hold the pass's *node view*: each node's CPU-guard value and
+/// the free-memory ranking are computed once per pass and refreshed only
+/// where a spawn changed them (see [`place_predictive`]).
 #[derive(Debug, Default)]
 pub(crate) struct PlaceScratch {
-    /// Nodes ranked by free memory, rebuilt per water-filling round.
+    /// Online, unquarantined nodes ranked by free memory, most first.
     ranked: Vec<(NodeId, f64)>,
+    /// CPU-guard value per node index (see [`cpu_guard`]), filled for the
+    /// ranked nodes.
+    guard: Vec<f64>,
+    /// Live executors as `(owner, executor, node)`, grouped by owner.
+    owned: Vec<(AppId, sparklite::ExecutorId, NodeId)>,
     /// Dynamic-adjustment candidates: `(executor, node, free memory)`.
     candidates: Vec<(sparklite::ExecutorId, NodeId, f64)>,
 }
 
-/// One placement round at time `t`. Returns the number of *abstain*
+/// One placement round at time `t` over the live jobs `live` (indices
+/// into `apps`, in plan order). Returns the number of *abstain*
 /// placements made (isolated whole-node reservations forced by a tripped
 /// circuit breaker); always 0 unless `abstain` is set.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn place(
     policy: PolicyKind,
     engine: &mut ClusterEngine,
-    apps: &mut [AppRt],
+    apps: &[AppRt],
+    live: &[usize],
     config: &SchedulerConfig,
     t: f64,
     catalog: &Catalog,
@@ -774,12 +792,30 @@ pub(crate) fn place(
     scratch: &mut PlaceScratch,
 ) -> Result<usize, ColocateError> {
     match policy {
-        PolicyKind::Isolated => place_isolated(engine, apps, config, nodes).map(|()| 0),
-        PolicyKind::Pairwise => place_pairwise(engine, apps, config, catalog, nodes).map(|()| 0),
+        PolicyKind::Isolated => place_isolated(engine, apps, live, config, nodes).map(|()| 0),
+        PolicyKind::Pairwise => {
+            place_pairwise(engine, apps, live, config, catalog, nodes).map(|()| 0)
+        }
         _ => place_predictive(
-            engine, apps, config, t, monitor, resil, nodes, abstain, scratch,
+            engine, apps, live, config, t, monitor, resil, nodes, abstain, scratch,
         ),
     }
+}
+
+/// The dynalloc executor target of engine app `id`, and its input in GB.
+pub(crate) fn executor_target(
+    engine: &ClusterEngine,
+    id: AppId,
+    config: &SchedulerConfig,
+) -> (usize, f64) {
+    let spec = engine.app(id).spec();
+    let target = dynalloc::executors_for(
+        spec,
+        config.cluster.nodes,
+        config.cluster.node.ram_gb,
+        config.dynalloc,
+    );
+    (target, spec.input_gb)
 }
 
 /// Last-resort placement when the policy's model refuses every node: give
@@ -788,25 +824,20 @@ pub(crate) fn place(
 /// whether an executor was spawned.
 pub(crate) fn force_place(
     engine: &mut ClusterEngine,
-    apps: &mut [AppRt],
+    apps: &[AppRt],
+    live: &[usize],
     config: &SchedulerConfig,
     t: f64,
 ) -> Result<bool, ColocateError> {
-    for app in apps.iter() {
-        if app.finished_at.is_some() || app.ready_at.max(app.retry_at) > t {
+    for app in live.iter().map(|&i| &apps[i]) {
+        if app.ready_at.max(app.retry_at) > t {
             continue;
         }
         let id = app.engine_id;
         if engine.app(id).unassigned_gb() <= 0.0 {
             continue;
         }
-        let spec = engine.app(id).spec().clone();
-        let target = dynalloc::executors_for(
-            &spec,
-            config.cluster.nodes,
-            config.cluster.node.ram_gb,
-            config.dynalloc,
-        );
+        let (target, input_gb) = executor_target(engine, id, config);
         // Emptiest *online* node; when every node is offline there is
         // nothing to force (the caller's restore schedule will unblock).
         let Some(node) = engine
@@ -826,8 +857,8 @@ pub(crate) fn force_place(
             continue;
         }
         let slice = fitting_slice(
-            &spec,
-            (spec.input_gb / target as f64).min(engine.app(id).unassigned_gb()),
+            engine.app(id).spec().memory_curve,
+            (input_gb / target as f64).min(engine.app(id).unassigned_gb()),
             free * 0.95,
         )
         .max(config.min_slice_gb)
@@ -842,11 +873,11 @@ pub(crate) fn force_place(
     Ok(false)
 }
 
-/// Largest slice of `spec`'s input whose ground-truth footprint fits in
-/// `budget_gb` — the wave size a memory-observing baseline processes at a
-/// time when a node cannot hold the whole slice.
-fn fitting_slice(spec: &sparklite::app::AppSpec, want_gb: f64, budget_gb: f64) -> f64 {
-    let model = moe_core::calibration::CalibratedModel::from_curve(spec.memory_curve);
+/// Largest slice of an input with ground-truth memory curve `curve` whose
+/// footprint fits in `budget_gb` — the wave size a memory-observing
+/// baseline processes at a time when a node cannot hold the whole slice.
+fn fitting_slice(curve: FittedCurve, want_gb: f64, budget_gb: f64) -> f64 {
+    let model = moe_core::calibration::CalibratedModel::from_curve(curve);
     match model.max_input_for_budget(budget_gb) {
         Some(x) => want_gb.min(x),
         None => 0.0,
@@ -855,26 +886,22 @@ fn fitting_slice(spec: &sparklite::app::AppSpec, want_gb: f64, budget_gb: f64) -
 
 fn place_isolated(
     engine: &mut ClusterEngine,
-    apps: &mut [AppRt],
+    apps: &[AppRt],
+    live: &[usize],
     config: &SchedulerConfig,
     nodes: &[NodeId],
 ) -> Result<(), ColocateError> {
     // The first unfinished app owns the whole cluster.
-    let Some(active) = apps.iter().position(|a| a.finished_at.is_none()) else {
+    let Some(&active) = live.first() else {
         return Ok(());
     };
     let id = apps[active].engine_id;
     if engine.app(id).unassigned_gb() <= 0.0 {
         return Ok(());
     }
-    let spec = engine.app(id).spec().clone();
-    let target = dynalloc::executors_for(
-        &spec,
-        config.cluster.nodes,
-        config.cluster.node.ram_gb,
-        config.dynalloc,
-    );
-    let slice = spec.input_gb / target as f64;
+    let (target, input_gb) = executor_target(engine, id, config);
+    let curve = engine.app(id).spec().memory_curve;
+    let slice = input_gb / target as f64;
     for &node in nodes {
         if engine.app(id).unassigned_gb() <= 0.0 {
             break;
@@ -888,7 +915,7 @@ fn place_isolated(
         // Exclusive: reserve the node's entire memory; process the input
         // in waves sized to what actually fits the heap.
         let ram = engine.cluster().node(node).spec().ram_gb;
-        let wave = fitting_slice(&spec, slice, ram * 0.95);
+        let wave = fitting_slice(curve, slice, ram * 0.95);
         if wave <= 0.0 {
             continue;
         }
@@ -899,7 +926,8 @@ fn place_isolated(
 
 fn place_pairwise(
     engine: &mut ClusterEngine,
-    apps: &mut [AppRt],
+    apps: &[AppRt],
+    live: &[usize],
     config: &SchedulerConfig,
     catalog: &Catalog,
     nodes: &[NodeId],
@@ -911,27 +939,15 @@ fn place_pairwise(
     // else waits. This matches the paper's description and its Fig. 7a
     // utilisation map (long idle stretches), and is why Pairwise "does not
     // scale up beyond pairwise co-location" (§6.2).
-    let active: Vec<usize> = apps
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| a.finished_at.is_none())
-        .map(|(i, _)| i)
-        .take(2)
-        .collect();
-    for i in active {
+    for &i in live.iter().take(2) {
         let id = apps[i].engine_id;
         if engine.app(id).unassigned_gb() <= 0.0 {
             continue;
         }
-        let spec = engine.app(id).spec().clone();
+        let (target, input_gb) = executor_target(engine, id, config);
+        let curve = engine.app(id).spec().memory_curve;
         let bench = &catalog.all()[apps[i].benchmark];
-        let target = dynalloc::executors_for(
-            &spec,
-            config.cluster.nodes,
-            config.cluster.node.ram_gb,
-            config.dynalloc,
-        );
-        let slice = spec.input_gb / target as f64;
+        let slice = input_gb / target as f64;
         // Prefer empty nodes, then singly occupied ones. Occupancy counts
         // come from one pass over the executor set instead of letting the
         // sort re-scan it per comparison key; the stable sort over equal
@@ -957,7 +973,7 @@ fn place_pairwise(
                 continue;
             }
             let want = fitting_slice(
-                &spec,
+                curve,
                 slice.min(engine.app(id).unassigned_gb()),
                 engine.cluster().node(node).spec().ram_gb * 0.95,
             );
@@ -982,10 +998,62 @@ fn place_pairwise(
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The CPU guard of §4.3: a node's instantaneous load, or the monitor's
+/// windowed view (§4.2) when that is higher, capped at 0.15 above the
+/// instantaneous load — so a node recovering from a burst is not
+/// immediately over-packed.
+fn cpu_guard(
+    engine: &ClusterEngine,
+    monitor: &sparklite::monitor::ResourceMonitor,
+    node: NodeId,
+) -> f64 {
+    let load = engine.node_cpu_load(node);
+    load.max(monitor.windowed_cpu(node).min(load + 0.15))
+}
+
+/// Ranks the online, unquarantined `nodes` by free memory, most first.
+/// Offline and quarantined nodes are filtered out BEFORE ranking; the
+/// stable sort over the survivors keeps `nodes` order among equal keys.
+fn rank_nodes(
+    ranked: &mut Vec<(NodeId, f64)>,
+    engine: &ClusterEngine,
+    resil: &ResilState,
+    nodes: &[NodeId],
+    t: f64,
+) {
+    ranked.clear();
+    ranked.extend(
+        nodes
+            .iter()
+            .copied()
+            .filter(|&n| engine.node_online(n) && resil.quarantined_until[n.index()] <= t)
+            .map(|n| (n, engine.node_free_memory(n))),
+    );
+    ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+}
+
+/// §4.3's dispatcher for the predictive policies, over the live jobs in
+/// plan order.
+///
+/// The water-filling phase reads a per-pass node view instead of
+/// re-deriving it per (application × round × node). It is exact because
+/// nothing but a spawn changes a node inside the phase:
+///
+/// * the CPU guard ([`cpu_guard`]) of every node is computed once, after
+///   the isolated-fallback phase (the monitor was observed before the
+///   pass), and recomputed only for the node a spawn lands on — only a
+///   spawn changes a node's executor set and hence its CPU sum;
+/// * the free-memory ranking is built once and rebuilt only after a
+///   spawn — online state and quarantine are fixed for the pass, so the
+///   stable sort over unchanged keys yields the same order.
+///
+/// Dynamic adjustment groups the live executors by owner once per pass;
+/// it extends executors but never spawns or kills one.
+#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
 pub(crate) fn place_predictive(
     engine: &mut ClusterEngine,
-    apps: &mut [AppRt],
+    apps: &[AppRt],
+    live: &[usize],
     config: &SchedulerConfig,
     t: f64,
     monitor: &sparklite::monitor::ResourceMonitor,
@@ -994,7 +1062,12 @@ pub(crate) fn place_predictive(
     abstain: bool,
     scratch: &mut PlaceScratch,
 ) -> Result<usize, ColocateError> {
-    let PlaceScratch { ranked, candidates } = scratch;
+    let PlaceScratch {
+        ranked,
+        guard,
+        owned,
+        candidates,
+    } = scratch;
     let mut abstain_placements = 0usize;
     // Graceful degradation: an application that burned through its retry
     // budget gets a whole empty node to itself — the paper's §2.3 answer
@@ -1004,18 +1077,15 @@ pub(crate) fn place_predictive(
     // application: co-location is suspended until the distress rate
     // recovers, and each placement made that way is counted.
     if config.resilience.enabled || abstain {
-        for app in apps.iter() {
-            if !(app.isolated_fallback || abstain)
-                || app.finished_at.is_some()
-                || app.ready_at.max(app.retry_at) > t
-            {
+        for app in live.iter().map(|&i| &apps[i]) {
+            if !(app.isolated_fallback || abstain) || app.ready_at.max(app.retry_at) > t {
                 continue;
             }
             let id = app.engine_id;
             if engine.app(id).unassigned_gb() <= 0.0 || engine.app(id).live_executors() > 0 {
                 continue;
             }
-            let spec = engine.app(id).spec().clone();
+            let curve = engine.app(id).spec().memory_curve;
             for &node in nodes {
                 if !engine.node_online(node)
                     || resil.quarantined_until[node.index()] > t
@@ -1024,7 +1094,7 @@ pub(crate) fn place_predictive(
                     continue;
                 }
                 let ram = engine.cluster().node(node).spec().ram_gb;
-                let wave = fitting_slice(&spec, engine.app(id).unassigned_gb(), ram * 0.95);
+                let wave = fitting_slice(curve, engine.app(id).unassigned_gb(), ram * 0.95);
                 if wave < config.min_slice_gb {
                     continue;
                 }
@@ -1047,13 +1117,13 @@ pub(crate) fn place_predictive(
     // first. This models §4.3's "starts executing waiting applications as
     // soon as possible" + even thread distribution: late arrivals are not
     // starved behind large jobs the way strict per-slot FCFS would.
+    // The node view is built on first use, so a pass with nothing to
+    // place pays nothing for it.
+    let mut view_built = false;
     loop {
         let mut progress = false;
-        for app in apps.iter() {
-            if app.finished_at.is_some()
-                || app.ready_at.max(app.retry_at) > t
-                || app.isolated_fallback
-            {
+        for app in live.iter().map(|&i| &apps[i]) {
+            if app.ready_at.max(app.retry_at) > t || app.isolated_fallback {
                 continue;
             }
             let id = app.engine_id;
@@ -1065,48 +1135,30 @@ pub(crate) fn place_predictive(
             };
             let margin = effective_margin(app, config);
             let cpu = app.measured_cpu;
-            let spec = engine.app(id).spec().clone();
-            let target = dynalloc::executors_for(
-                &spec,
-                config.cluster.nodes,
-                config.cluster.node.ram_gb,
-                config.dynalloc,
-            );
+            let (target, input_gb) = executor_target(engine, id, config);
             if engine.app(id).live_executors() >= target {
                 continue;
             }
-            let slice_target = spec.input_gb / target as f64;
+            let slice_target = input_gb / target as f64;
 
+            if !view_built {
+                rank_nodes(ranked, engine, resil, nodes, t);
+                guard.clear();
+                guard.resize(nodes.len(), 0.0);
+                for &(node, _) in ranked.iter() {
+                    guard[node.index()] = cpu_guard(engine, monitor, node);
+                }
+                view_built = true;
+            }
             // Nodes with the most free memory first (§4.3: spawn on
-            // servers that have spare memory). Offline and quarantined
-            // nodes are filtered out BEFORE ranking, so rounds on a
-            // degraded cluster stop re-sorting and re-skipping dead nodes;
-            // the stable sort over the surviving subset (same keys, same
-            // relative pre-order) visits eligible nodes in exactly the
-            // sequence the unfiltered scan did.
-            ranked.clear();
-            ranked.extend(
-                nodes
-                    .iter()
-                    .copied()
-                    .filter(|&n| engine.node_online(n) && resil.quarantined_until[n.index()] <= t)
-                    .map(|n| (n, engine.node_free_memory(n))),
-            );
-            ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+            // servers that have spare memory).
+            let mut spawned_on = None;
             for &(node, _) in ranked.iter() {
                 if engine.node_executor_count(node) >= config.max_execs_per_node {
                     continue;
                 }
                 // CPU guard: aggregate load stays under the cap (§4.3).
-                // The monitor's windowed view (§4.2) is consulted alongside
-                // the instantaneous load so a node recovering from a burst
-                // is not immediately over-packed.
-                let observed_load = engine.node_cpu_load(node).max(
-                    monitor
-                        .windowed_cpu(node)
-                        .min(engine.node_cpu_load(node) + 0.15),
-                );
-                if observed_load + cpu > config.cpu_cap {
+                if guard[node.index()] + cpu > config.cpu_cap {
                     continue;
                 }
                 let free = engine.node_free_memory(node);
@@ -1143,7 +1195,14 @@ pub(crate) fn place_predictive(
                 if engine.spawn_executor(id, node, slice, reserve)?.is_some() {
                     progress = true;
                 }
+                spawned_on = Some(node);
                 break; // one executor per app per round
+            }
+            // A spawn that took no input still reserved and released
+            // memory on the node, so refresh after any spawn call.
+            if let Some(node) = spawned_on {
+                guard[node.index()] = cpu_guard(engine, monitor, node);
+                rank_nodes(ranked, engine, resil, nodes, t);
             }
         }
         if !progress {
@@ -1155,13 +1214,11 @@ pub(crate) fn place_predictive(
     // not obtain another executor top up a running one where the node has
     // spare memory, avoiding a fresh executor's startup cost.
     if config.dynamic_adjustment {
-        // `candidates` is reused across apps AND calls (scratch-owned):
-        // (executor, its node, free memory there).
-        for app in apps.iter() {
-            if app.finished_at.is_some()
-                || app.ready_at.max(app.retry_at) > t
-                || app.isolated_fallback
-            {
+        // The live executors grouped by owner, built on first use: a
+        // stable sort by owner over the spawn-ordered executor set.
+        let mut grouped = false;
+        for app in live.iter().map(|&i| &apps[i]) {
+            if app.ready_at.max(app.retry_at) > t || app.isolated_fallback {
                 continue;
             }
             let id = app.engine_id;
@@ -1176,25 +1233,26 @@ pub(crate) fn place_predictive(
             // adjustment restores an executor squeezed below its fair
             // slice by an earlier memory shortage — it must not serialise
             // work that future executors would process in parallel.
-            let spec = engine.app(id).spec().clone();
-            let target = dynalloc::executors_for(
-                &spec,
-                config.cluster.nodes,
-                config.cluster.node.ram_gb,
-                config.dynalloc,
-            );
-            let slice_target = spec.input_gb / target as f64;
-            // This app's executors, on the node with the most free memory
-            // first. One pass over the executor set replaces the old
-            // nodes-times-executors double scan; the (node, id) tie-break
-            // reproduces the order that scan fed its stable sort, so equal
-            // free-memory ties resolve identically.
-            candidates.clear();
-            for e in engine.executors_iter() {
-                if e.app() == id {
-                    candidates.push((e.id(), e.node(), engine.node_free_memory(e.node())));
-                }
+            let (target, input_gb) = executor_target(engine, id, config);
+            let slice_target = input_gb / target as f64;
+            if !grouped {
+                owned.clear();
+                owned.extend(engine.executors_iter().map(|e| (e.app(), e.id(), e.node())));
+                owned.sort_by_key(|&(owner, _, _)| owner);
+                grouped = true;
             }
+            // This app's executors, on the node with the most free memory
+            // first; free memory is read at this app's turn, after earlier
+            // apps' extensions. The (node, id) tie-break makes the order
+            // total, so it does not depend on the grouping's order.
+            let lo = owned.partition_point(|&(owner, _, _)| owner < id);
+            let hi = owned.partition_point(|&(owner, _, _)| owner <= id);
+            candidates.clear();
+            candidates.extend(
+                owned[lo..hi]
+                    .iter()
+                    .map(|&(_, e, node)| (e, node, engine.node_free_memory(node))),
+            );
             candidates.sort_by(|a, b| {
                 b.2.total_cmp(&a.2)
                     .then_with(|| a.1.cmp(&b.1))
@@ -1266,7 +1324,7 @@ pub(crate) fn resolve_ooms(
                 (e.app(), e.current_actual_gb(), e.reserved_gb())
             };
             engine.kill_executor(victim)?;
-            if let Some(app) = apps.iter_mut().find(|a| a.engine_id == owner) {
+            if let Some(app) = owner_mut(apps, owner) {
                 app.margin = (app.margin * 1.5).min(3.0).max(config.conservative_margin);
                 if resilience.enabled {
                     observe_footprint_error(app, actual, reserved, resilience.margin_alpha);

@@ -33,8 +33,8 @@ use crate::harness::{BaselineCache, ChaosSpec, RunConfig};
 use crate::metrics::percentiles;
 use crate::profiling::{profile_app, AppProfile, ProfilingCost};
 use crate::scheduler::{
-    apply_fault, build_predictor, effective_margin, force_place, note_completion, place,
-    process_revocations, resolve_ooms, AppRt, FaultStats, NextSeed, PolicyKind, ResilState,
+    apply_fault, build_predictor, effective_margin, executor_target, force_place, note_completion,
+    place, process_revocations, resolve_ooms, AppRt, FaultStats, NextSeed, PolicyKind, ResilState,
     ResilienceConfig, SchedulerConfig,
 };
 use crate::training::TrainedSystem;
@@ -43,7 +43,6 @@ use simkit::arrivals::{ArrivalPlan, ArrivalPlanConfig, ArrivalProcess};
 use simkit::faults::FaultPlan;
 use simkit::stats::TimeWeighted;
 use simkit::{par, SimRng, SimTime};
-use sparklite::dynalloc;
 use sparklite::engine::ClusterEngine;
 use sparklite::NodeId;
 use std::collections::{HashMap, VecDeque};
@@ -239,7 +238,6 @@ pub struct AdmissionAudit {
 /// Sidecar state the admission layer keeps per planned job.
 struct JobState {
     tenant: usize,
-    arrived: bool,
     admitted_at: Option<f64>,
     shed: bool,
     /// When the profiling pipeline (run at arrival) completes, s.
@@ -413,14 +411,8 @@ fn admission_need_gb(app: &AppRt, engine: &ClusterEngine, config: &SchedulerConf
     let Some(prediction) = &app.prediction else {
         return 0.0;
     };
-    let spec = engine.app(app.engine_id).spec().clone();
-    let target = dynalloc::executors_for(
-        &spec,
-        config.cluster.nodes,
-        config.cluster.node.ram_gb,
-        config.dynalloc,
-    );
-    let slice = spec.input_gb / target as f64;
+    let (target, input_gb) = executor_target(engine, app.engine_id, config);
+    let slice = input_gb / target as f64;
     prediction.model.footprint_gb(slice)
         * app.pred_scale
         * effective_margin(app, config)
@@ -492,6 +484,15 @@ const EVENT_GUARD: usize = 500_000;
 /// spot revocations and node restores; mark finishes; recover the breaker;
 /// shed and admit; place and resolve OOMs; then advance the engine to the
 /// next completion or externally scheduled instant.
+///
+/// Every per-instant pass walks the *live* jobs — arrived, neither shed
+/// nor finished, in plan order — not the whole plan, so an instant costs
+/// O(live jobs + nodes touched) however long the plan is. Plan order keeps
+/// every iteration order and floating-point summation order of a
+/// whole-plan scan. Leaving unarrived jobs out is exact: a job's ready
+/// time is never before its arrival, so placement's ready filter never
+/// passes one, and its ready time is no earlier than the next arrival,
+/// which the next-instant search already takes.
 ///
 /// Arrival `i` runs `job_classes[plan[i].job_class]` for tenant
 /// `plan[i].tenant`, weighted by `tenant_weights` (empty = all 1.0).
@@ -645,7 +646,6 @@ pub(crate) fn run_loop(
         });
         jobs.push(JobState {
             tenant: event.tenant,
-            arrived: false,
             admitted_at: None,
             shed: false,
             profile_ready: ready,
@@ -705,6 +705,9 @@ pub(crate) fn run_loop(
     let mut abstain_placements = 0usize;
     let mut depth_avg = TimeWeighted::new(SimTime::ZERO);
     let mut max_queue_depth = 0usize;
+    // Arrived jobs that are neither shed nor finished, in plan order.
+    let mut live: Vec<usize> = Vec::new();
+    let mut eligible: Vec<usize> = Vec::new();
 
     loop {
         guard += 1;
@@ -720,15 +723,16 @@ pub(crate) fn run_loop(
             // The cursor walks the plan front to back, so this index is
             // the event's position in plan order.
             let idx = plan.len() - arrivals.remaining() - 1;
-            jobs[idx].arrived = true;
             let weight = tenant_weights.get(event.tenant).copied().unwrap_or(1.0);
             let pass = tenant_pass.entry(event.tenant).or_insert(0.0);
             let vft = pass.max(virtual_time) + apps[idx].input_gb / weight;
             *pass = vft;
             jobs[idx].vft = vft;
-            if admission.enabled && queued_count(&apps, &jobs) > admission.queue_capacity {
+            live.push(idx);
+            if admission.enabled && queued_count(&jobs, &live) > admission.queue_capacity {
                 jobs[idx].shed = true;
                 shed_jobs += 1;
+                live.pop();
             }
         }
 
@@ -777,7 +781,7 @@ pub(crate) fn run_loop(
         }
 
         // 3. Mark finishes and release their committed headroom.
-        mark_finished(&mut apps, &mut jobs, &engine, t);
+        mark_finished(&mut apps, &mut jobs, &mut live, &engine, t);
 
         // 4. Breaker recovery with hysteresis: after the cooldown the
         //    breaker closes only if the window has drained below the
@@ -790,17 +794,21 @@ pub(crate) fn run_loop(
         //    admission — it only forces isolated placement below — so the
         //    service degrades instead of stalling.
         if admission.enabled {
-            while queued_count(&apps, &jobs) > admission.shed_watermark {
-                let Some(victim) = pick_shed_victim(&apps, &jobs, shed_rng.as_mut()) else {
+            while queued_count(&jobs, &live) > admission.shed_watermark {
+                let Some(victim) = pick_shed_victim(&jobs, &live, shed_rng.as_mut()) else {
                     break;
                 };
                 jobs[victim].shed = true;
                 shed_jobs += 1;
+                live.retain(|&i| i != victim);
             }
             loop {
-                let eligible: Vec<usize> = (0..jobs.len())
-                    .filter(|&i| is_queued(&apps[i], &jobs[i]) && jobs[i].profile_ready <= t)
-                    .collect();
+                eligible.clear();
+                eligible.extend(
+                    live.iter()
+                        .copied()
+                        .filter(|&i| is_queued(&jobs[i]) && jobs[i].profile_ready <= t),
+                );
                 if eligible.is_empty() {
                     break;
                 }
@@ -818,7 +826,7 @@ pub(crate) fn run_loop(
                 // keeps it exactly zero once everything admitted has
                 // finished, so the empty-cluster always-admit escape can
                 // never be wedged shut by floating-point residue.
-                let committed = committed_gb(&jobs);
+                let committed = committed_gb(&jobs, &live);
                 if committed > 0.0 && committed + need > headroom {
                     deferrals += eligible.len();
                     break;
@@ -831,14 +839,14 @@ pub(crate) fn run_loop(
                 // Audit the booking just written: the committed sum must
                 // stay non-negative, and may exceed headroom only through
                 // the single-booking empty-cluster escape.
-                let now_committed = committed_gb(&jobs);
+                let now_committed = committed_gb(&jobs, &live);
                 audit.peak_committed_gb = audit.peak_committed_gb.max(now_committed);
                 if now_committed < 0.0 {
                     audit.negative_commit_events += 1;
                 }
-                let in_flight = jobs
+                let in_flight = live
                     .iter()
-                    .filter(|j| j.admitted_at.is_some() && !j.released)
+                    .filter(|&&i| jobs[i].admitted_at.is_some() && !jobs[i].released)
                     .count();
                 if in_flight > 1 && now_committed > headroom {
                     audit.overbook_events += 1;
@@ -853,7 +861,8 @@ pub(crate) fn run_loop(
         abstain_placements += place(
             policy,
             &mut engine,
-            &mut apps,
+            &apps,
+            &live,
             sched,
             t,
             catalog,
@@ -879,20 +888,15 @@ pub(crate) fn run_loop(
             ));
         }
 
-        let depth = queued_count(&apps, &jobs);
+        let depth = queued_count(&jobs, &live);
         max_queue_depth = max_queue_depth.max(depth);
         depth_avg.set(SimTime::from_secs(t), depth as f64);
 
         // 7. Mark finishes again (profiling credit alone can finish an
         //    app) and terminate once the plan is drained and every
         //    surviving job is done.
-        mark_finished(&mut apps, &mut jobs, &engine, t);
-        if arrivals.remaining() == 0
-            && apps
-                .iter()
-                .zip(jobs.iter())
-                .all(|(a, j)| j.shed || a.finished_at.is_some())
-        {
+        mark_finished(&mut apps, &mut jobs, &mut live, &engine, t);
+        if arrivals.remaining() == 0 && live.is_empty() {
             break;
         }
 
@@ -902,19 +906,16 @@ pub(crate) fn run_loop(
         //    (admission waits for the memory estimate), the breaker's
         //    recovery check, a fault striking, a spot revocation falling
         //    due or a crashed node's outage ending.
-        let next_ready = apps
+        let next_ready = live
             .iter()
-            .zip(jobs.iter())
-            .filter(|(a, j)| !j.shed && a.finished_at.is_none())
-            .map(|(a, _)| a.ready_at.max(a.retry_at))
+            .map(|&i| apps[i].ready_at.max(apps[i].retry_at))
             .filter(|&r| r > t && r.is_finite())
             .fold(f64::INFINITY, f64::min);
         let next_arrival = arrivals.next_at().unwrap_or(f64::INFINITY);
         let next_profile = if admission.enabled {
-            jobs.iter()
-                .zip(apps.iter())
-                .filter(|(j, a)| is_queued(a, j))
-                .map(|(j, _)| j.profile_ready)
+            live.iter()
+                .filter(|&&i| is_queued(&jobs[i]))
+                .map(|&i| jobs[i].profile_ready)
                 .filter(|&r| r > t)
                 .fold(f64::INFINITY, f64::min)
         } else {
@@ -972,7 +973,7 @@ pub(crate) fn run_loop(
                 // still makes progress — force a minimum-slice placement
                 // on the emptiest node, capped at the free memory; if it
                 // pages, that is the baseline's deserved penalty.
-                if !force_place(&mut engine, &mut apps, sched, t)? {
+                if !force_place(&mut engine, &apps, &live, sched, t)? {
                     return Err(ColocateError::Config(format!(
                         "schedule stuck at t={t:.1}s with unfinished jobs"
                     )));
@@ -1032,29 +1033,27 @@ pub(crate) fn run_loop(
     })
 }
 
-/// Whether a job sits in the admission queue: arrived, not shed, not
-/// admitted, not finished (profiling credit alone can finish tiny jobs
-/// while they queue; with admission disabled this is the
-/// arrived-but-unfinished backlog, since nothing is ever formally
-/// admitted).
-fn is_queued(app: &AppRt, job: &JobState) -> bool {
-    job.arrived && !job.shed && job.admitted_at.is_none() && app.finished_at.is_none()
+/// Whether a live job sits in the admission queue: not yet admitted
+/// (live jobs have arrived and are neither shed nor finished; with
+/// admission disabled nothing is ever formally admitted, so the queue is
+/// the arrived-but-unfinished backlog).
+fn is_queued(job: &JobState) -> bool {
+    job.admitted_at.is_none()
 }
 
 /// Jobs sitting in the admission queue (see [`is_queued`]).
-fn queued_count(apps: &[AppRt], jobs: &[JobState]) -> usize {
-    apps.iter()
-        .zip(jobs.iter())
-        .filter(|(a, j)| is_queued(a, j))
-        .count()
+fn queued_count(jobs: &[JobState], live: &[usize]) -> usize {
+    live.iter().filter(|&&i| is_queued(&jobs[i])).count()
 }
 
 /// The queued job with the largest WFQ finish tag; exact ties are broken
 /// by a seeded draw so overload behaviour stays reproducible rather than
 /// depending on scan order.
-fn pick_shed_victim(apps: &[AppRt], jobs: &[JobState], rng: Option<&mut SimRng>) -> Option<usize> {
-    let queued: Vec<usize> = (0..jobs.len())
-        .filter(|&i| is_queued(&apps[i], &jobs[i]))
+fn pick_shed_victim(jobs: &[JobState], live: &[usize], rng: Option<&mut SimRng>) -> Option<usize> {
+    let queued: Vec<usize> = live
+        .iter()
+        .copied()
+        .filter(|&i| is_queued(&jobs[i]))
         .collect();
     let max_vft = queued
         .iter()
@@ -1071,36 +1070,40 @@ fn pick_shed_victim(apps: &[AppRt], jobs: &[JobState], rng: Option<&mut SimRng>)
     }
 }
 
-/// Marks every arrived, unshed application the engine reports finished
-/// (never before it became ready) and releases the committed headroom of
-/// finished admitted jobs. Profiling credit alone can finish a small job
-/// before admission grants it a ready time; such a job books nothing and
-/// is done once its profiling is.
-fn mark_finished(apps: &mut [AppRt], jobs: &mut [JobState], engine: &ClusterEngine, t: f64) {
-    for (app, job) in apps.iter_mut().zip(jobs.iter_mut()) {
-        if job.arrived
-            && !job.shed
-            && app.finished_at.is_none()
-            && engine.app(app.engine_id).is_finished()
-        {
-            let ready = if job.admitted_at.is_some() {
-                app.ready_at
-            } else {
-                job.profile_ready
-            };
-            app.finished_at = Some(t.max(ready));
+/// Marks every live application the engine reports finished (never
+/// before it became ready), releases the committed headroom of finished
+/// admitted jobs and drops them from `live`. Profiling credit alone can
+/// finish a small job before admission grants it a ready time; such a job
+/// books nothing and is done once its profiling is.
+fn mark_finished(
+    apps: &mut [AppRt],
+    jobs: &mut [JobState],
+    live: &mut Vec<usize>,
+    engine: &ClusterEngine,
+    t: f64,
+) {
+    live.retain(|&i| {
+        let (app, job) = (&mut apps[i], &mut jobs[i]);
+        if !engine.app(app.engine_id).is_finished() {
+            return true;
         }
-        if !job.released && job.admitted_at.is_some() && app.finished_at.is_some() {
+        let ready = if job.admitted_at.is_some() {
             job.released = true;
-        }
-    }
+            app.ready_at
+        } else {
+            job.profile_ready
+        };
+        app.finished_at = Some(t.max(ready));
+        false
+    });
 }
 
 /// Predicted footprint currently booked against the headroom budget: the
-/// sum over admitted-but-unfinished jobs. Recomputed from scratch so it
-/// is exactly `0.0` whenever nothing is in flight.
-fn committed_gb(jobs: &[JobState]) -> f64 {
-    jobs.iter()
+/// sum over admitted-but-unfinished jobs, all of them live. Recomputed
+/// from scratch so it is exactly `0.0` whenever nothing is in flight.
+fn committed_gb(jobs: &[JobState], live: &[usize]) -> f64 {
+    live.iter()
+        .map(|&i| &jobs[i])
         .filter(|j| j.admitted_at.is_some() && !j.released)
         .map(|j| j.committed_gb)
         .sum()
