@@ -45,10 +45,11 @@ use simkit::faults::{FaultEvent, FaultKind, FaultPlan};
 use simkit::SimRng;
 use sparklite::app::AppId;
 use sparklite::cluster::ClusterSpec;
-use sparklite::dynalloc::{self, DynAllocConfig};
+use sparklite::dynalloc::DynAllocConfig;
 use sparklite::engine::ClusterEngine;
 use sparklite::perf::{InterferenceModel, MemoryPressure};
 use sparklite::NodeId;
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 use workloads::catalog::Catalog;
 use workloads::mixes::MixEntry;
@@ -331,6 +332,9 @@ pub(crate) struct AppRt {
     pub(crate) finished_at: Option<f64>,
     pub(crate) profiling: ProfilingCost,
     pub(crate) input_gb: f64,
+    /// Dynalloc executor target: a function of the app's spec and the
+    /// cluster alone, so it is computed once at submission.
+    pub(crate) exec_target: usize,
     /// Multiplicative perturbation of the predicted footprint (injected
     /// prediction-noise faults land here; 1.0 = faithful predictions).
     pub(crate) pred_scale: f64,
@@ -766,8 +770,9 @@ pub(crate) struct PlaceScratch {
     /// CPU-guard value per node index (see [`cpu_guard`]), filled for the
     /// ranked nodes.
     guard: Vec<f64>,
-    /// Live executors as `(owner, executor, node)`, grouped by owner.
-    owned: Vec<(AppId, sparklite::ExecutorId, NodeId)>,
+    /// Live executors as `(owner, executor, node, slice GB)`, grouped by
+    /// owner.
+    owned: Vec<(AppId, sparklite::ExecutorId, NodeId, f64)>,
     /// Dynamic-adjustment candidates: `(executor, node, free memory)`.
     candidates: Vec<(sparklite::ExecutorId, NodeId, f64)>,
 }
@@ -792,7 +797,7 @@ pub(crate) fn place(
     scratch: &mut PlaceScratch,
 ) -> Result<usize, ColocateError> {
     match policy {
-        PolicyKind::Isolated => place_isolated(engine, apps, live, config, nodes).map(|()| 0),
+        PolicyKind::Isolated => place_isolated(engine, apps, live, nodes).map(|()| 0),
         PolicyKind::Pairwise => {
             place_pairwise(engine, apps, live, config, catalog, nodes).map(|()| 0)
         }
@@ -800,22 +805,6 @@ pub(crate) fn place(
             engine, apps, live, config, t, monitor, resil, nodes, abstain, scratch,
         ),
     }
-}
-
-/// The dynalloc executor target of engine app `id`, and its input in GB.
-pub(crate) fn executor_target(
-    engine: &ClusterEngine,
-    id: AppId,
-    config: &SchedulerConfig,
-) -> (usize, f64) {
-    let spec = engine.app(id).spec();
-    let target = dynalloc::executors_for(
-        spec,
-        config.cluster.nodes,
-        config.cluster.node.ram_gb,
-        config.dynalloc,
-    );
-    (target, spec.input_gb)
 }
 
 /// Last-resort placement when the policy's model refuses every node: give
@@ -837,7 +826,6 @@ pub(crate) fn force_place(
         if engine.app(id).unassigned_gb() <= 0.0 {
             continue;
         }
-        let (target, input_gb) = executor_target(engine, id, config);
         // Emptiest *online* node; when every node is offline there is
         // nothing to force (the caller's restore schedule will unblock).
         let Some(node) = engine
@@ -858,7 +846,7 @@ pub(crate) fn force_place(
         }
         let slice = fitting_slice(
             engine.app(id).spec().memory_curve,
-            (input_gb / target as f64).min(engine.app(id).unassigned_gb()),
+            (app.input_gb / app.exec_target as f64).min(engine.app(id).unassigned_gb()),
             free * 0.95,
         )
         .max(config.min_slice_gb)
@@ -888,7 +876,6 @@ fn place_isolated(
     engine: &mut ClusterEngine,
     apps: &[AppRt],
     live: &[usize],
-    config: &SchedulerConfig,
     nodes: &[NodeId],
 ) -> Result<(), ColocateError> {
     // The first unfinished app owns the whole cluster.
@@ -899,9 +886,9 @@ fn place_isolated(
     if engine.app(id).unassigned_gb() <= 0.0 {
         return Ok(());
     }
-    let (target, input_gb) = executor_target(engine, id, config);
+    let target = apps[active].exec_target;
     let curve = engine.app(id).spec().memory_curve;
-    let slice = input_gb / target as f64;
+    let slice = apps[active].input_gb / target as f64;
     for &node in nodes {
         if engine.app(id).unassigned_gb() <= 0.0 {
             break;
@@ -944,10 +931,10 @@ fn place_pairwise(
         if engine.app(id).unassigned_gb() <= 0.0 {
             continue;
         }
-        let (target, input_gb) = executor_target(engine, id, config);
+        let target = apps[i].exec_target;
         let curve = engine.app(id).spec().memory_curve;
         let bench = &catalog.all()[apps[i].benchmark];
-        let slice = input_gb / target as f64;
+        let slice = apps[i].input_gb / target as f64;
         // Prefer empty nodes, then singly occupied ones. Occupancy counts
         // come from one pass over the executor set instead of letting the
         // sort re-scan it per comparison key; the stable sort over equal
@@ -1014,6 +1001,7 @@ fn cpu_guard(
 /// Ranks the online, unquarantined `nodes` by free memory, most first.
 /// Offline and quarantined nodes are filtered out BEFORE ranking; the
 /// stable sort over the survivors keeps `nodes` order among equal keys.
+/// `nodes` is in id order, so the ranking is ordered by [`rank_order`].
 fn rank_nodes(
     ranked: &mut Vec<(NodeId, f64)>,
     engine: &ClusterEngine,
@@ -1021,6 +1009,7 @@ fn rank_nodes(
     nodes: &[NodeId],
     t: f64,
 ) {
+    debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]));
     ranked.clear();
     ranked.extend(
         nodes
@@ -1032,23 +1021,61 @@ fn rank_nodes(
     ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
 }
 
+/// The order of a node ranking: free memory descending, then node id.
+fn rank_order(a: &(NodeId, f64), b: &(NodeId, f64)) -> Ordering {
+    b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
+}
+
+/// Moves ranked `node` to its place after a spawn changed its free
+/// memory. No other node's key changed, so this yields the order a full
+/// [`rank_nodes`] would.
+fn rerank_node(ranked: &mut Vec<(NodeId, f64)>, engine: &ClusterEngine, node: NodeId) {
+    let Some(pos) = ranked.iter().position(|&(n, _)| n == node) else {
+        return;
+    };
+    ranked.remove(pos);
+    let entry = (node, engine.node_free_memory(node));
+    let at = ranked.partition_point(|x| rank_order(x, &entry) == Ordering::Less);
+    ranked.insert(at, entry);
+}
+
+/// The lowest CPU-guard value among the ranked nodes that still have an
+/// executor slot (infinite when none has).
+fn guard_floor(
+    ranked: &[(NodeId, f64)],
+    guard: &[f64],
+    engine: &ClusterEngine,
+    max_execs: usize,
+) -> f64 {
+    ranked
+        .iter()
+        .filter(|&&(n, _)| engine.node_executor_count(n) < max_execs)
+        .map(|&(n, _)| guard[n.index()])
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// §4.3's dispatcher for the predictive policies, over the live jobs in
 /// plan order.
 ///
 /// The water-filling phase reads a per-pass node view instead of
 /// re-deriving it per (application × round × node). It is exact because
-/// nothing but a spawn changes a node inside the phase:
+/// nothing but a spawn changes a node inside the phase, and a spawn
+/// changes only the node it lands on:
 ///
-/// * the CPU guard ([`cpu_guard`]) of every node is computed once, after
-///   the isolated-fallback phase (the monitor was observed before the
-///   pass), and recomputed only for the node a spawn lands on — only a
-///   spawn changes a node's executor set and hence its CPU sum;
-/// * the free-memory ranking is built once and rebuilt only after a
-///   spawn — online state and quarantine are fixed for the pass, so the
-///   stable sort over unchanged keys yields the same order.
+/// * the CPU guard ([`cpu_guard`]) of every ranked node is computed once,
+///   after the isolated-fallback phase (the monitor was observed before
+///   the pass), and recomputed only for the node a spawn lands on — only
+///   a spawn changes a node's executor set and hence its CPU sum;
+/// * the free-memory ranking is built once; after a spawn only that node
+///   moves ([`rerank_node`]). Online state and quarantine are fixed for
+///   the pass, so the order is the one a fresh stable sort would give;
+/// * an application whose CPU demand overflows the cap on top of the
+///   lowest guard among nodes with a free executor slot is refused by
+///   every node, so its node scan is skipped.
 ///
 /// Dynamic adjustment groups the live executors by owner once per pass;
-/// it extends executors but never spawns or kills one.
+/// it extends executors but never spawns or kills one, and it skips
+/// executors too close to their share to ever be topped up.
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
 pub(crate) fn place_predictive(
     engine: &mut ClusterEngine,
@@ -1120,6 +1147,7 @@ pub(crate) fn place_predictive(
     // The node view is built on first use, so a pass with nothing to
     // place pays nothing for it.
     let mut view_built = false;
+    let mut floor = f64::INFINITY;
     loop {
         let mut progress = false;
         for app in live.iter().map(|&i| &apps[i]) {
@@ -1135,11 +1163,11 @@ pub(crate) fn place_predictive(
             };
             let margin = effective_margin(app, config);
             let cpu = app.measured_cpu;
-            let (target, input_gb) = executor_target(engine, id, config);
+            let target = app.exec_target;
             if engine.app(id).live_executors() >= target {
                 continue;
             }
-            let slice_target = input_gb / target as f64;
+            let slice_target = app.input_gb / target as f64;
 
             if !view_built {
                 rank_nodes(ranked, engine, resil, nodes, t);
@@ -1148,8 +1176,19 @@ pub(crate) fn place_predictive(
                 for &(node, _) in ranked.iter() {
                     guard[node.index()] = cpu_guard(engine, monitor, node);
                 }
+                floor = guard_floor(ranked, guard, engine, config.max_execs_per_node);
                 view_built = true;
             }
+            // Every node with a free executor slot has a guard of at least
+            // `floor`, so an app that overflows the cap on top of it is
+            // refused by every node: skip the scan.
+            if floor + cpu > config.cpu_cap {
+                continue;
+            }
+            // Nothing below changes the app's input until the spawn that
+            // ends the scan, so its wanted slice is fixed for the scan.
+            let want = slice_target.min(engine.app(id).unassigned_gb());
+            let need = prediction.model.footprint_gb(want) * app.pred_scale * margin;
             // Nodes with the most free memory first (§4.3: spawn on
             // servers that have spare memory).
             let mut spawned_on = None;
@@ -1162,9 +1201,6 @@ pub(crate) fn place_predictive(
                     continue;
                 }
                 let free = engine.node_free_memory(node);
-                let remaining = engine.app(id).unassigned_gb();
-                let want = slice_target.min(remaining);
-                let need = prediction.model.footprint_gb(want) * app.pred_scale * margin;
                 let quantize = |gb: f64| -> f64 {
                     // Whole RDD partitions only (never exceeding what was
                     // asked for; a final sub-partition tail is allowed so
@@ -1202,7 +1238,8 @@ pub(crate) fn place_predictive(
             // memory on the node, so refresh after any spawn call.
             if let Some(node) = spawned_on {
                 guard[node.index()] = cpu_guard(engine, monitor, node);
-                rank_nodes(ranked, engine, resil, nodes, t);
+                rerank_node(ranked, engine, node);
+                floor = guard_floor(ranked, guard, engine, config.max_execs_per_node);
             }
         }
         if !progress {
@@ -1215,14 +1252,23 @@ pub(crate) fn place_predictive(
     // spare memory, avoiding a fresh executor's startup cost.
     if config.dynamic_adjustment {
         // The live executors grouped by owner, built on first use: a
-        // stable sort by owner over the spawn-ordered executor set.
+        // stable sort by owner over the spawn-ordered executor set. An
+        // executor's slice changes only when it is extended, and each
+        // app's turn ends at its first extension.
         let mut grouped = false;
+        let min_extra = config.min_slice_gb.max(config.partition_gb);
         for app in live.iter().map(|&i| &apps[i]) {
             if app.ready_at.max(app.retry_at) > t || app.isolated_fallback {
                 continue;
             }
             let id = app.engine_id;
-            if engine.app(id).unassigned_gb() <= 0.0 || engine.app(id).live_executors() == 0 {
+            // Nothing below changes the app's input before the extension
+            // that ends its turn.
+            let remaining = engine.app(id).unassigned_gb();
+            if remaining <= 0.0
+                || remaining <= config.min_slice_gb
+                || engine.app(id).live_executors() == 0
+            {
                 continue;
             }
             let Some(prediction) = &app.prediction else {
@@ -1233,25 +1279,34 @@ pub(crate) fn place_predictive(
             // adjustment restores an executor squeezed below its fair
             // slice by an earlier memory shortage — it must not serialise
             // work that future executors would process in parallel.
-            let (target, input_gb) = executor_target(engine, id, config);
-            let slice_target = input_gb / target as f64;
+            let slice_target = app.input_gb / app.exec_target as f64;
             if !grouped {
                 owned.clear();
-                owned.extend(engine.executors_iter().map(|e| (e.app(), e.id(), e.node())));
-                owned.sort_by_key(|&(owner, _, _)| owner);
+                owned.extend(
+                    engine
+                        .executors_iter()
+                        .map(|e| (e.app(), e.id(), e.node(), e.slice_gb())),
+                );
+                owned.sort_by_key(|&(owner, _, _, _)| owner);
                 grouped = true;
             }
             // This app's executors, on the node with the most free memory
             // first; free memory is read at this app's turn, after earlier
             // apps' extensions. The (node, id) tie-break makes the order
-            // total, so it does not depend on the grouping's order.
-            let lo = owned.partition_point(|&(owner, _, _)| owner < id);
-            let hi = owned.partition_point(|&(owner, _, _)| owner <= id);
+            // total, so it does not depend on the grouping's order. An
+            // executor within `min_extra` of its share is left out: its
+            // extra input is at most `slice_target - slice`, so it could
+            // never be topped up.
+            let lo = owned.partition_point(|&(owner, _, _, _)| owner < id);
+            let hi = owned.partition_point(|&(owner, _, _, _)| owner <= id);
             candidates.clear();
             candidates.extend(
                 owned[lo..hi]
                     .iter()
-                    .map(|&(_, e, node)| (e, node, engine.node_free_memory(node))),
+                    .filter(|&&(_, _, _, slice)| {
+                        (slice_target - slice).partial_cmp(&min_extra) != Some(Ordering::Less)
+                    })
+                    .map(|&(_, e, node, _)| (e, node, engine.node_free_memory(node))),
             );
             candidates.sort_by(|a, b| {
                 b.2.total_cmp(&a.2)
@@ -1259,10 +1314,6 @@ pub(crate) fn place_predictive(
                     .then_with(|| a.0.cmp(&b.0))
             });
             for &(exec_id, _, _) in candidates.iter() {
-                let remaining = engine.app(id).unassigned_gb();
-                if remaining <= config.min_slice_gb {
-                    break;
-                }
                 let (node, slice, reserved) = {
                     let e = engine.executor(exec_id)?;
                     (e.node(), e.slice_gb(), e.reserved_gb())
@@ -1278,7 +1329,7 @@ pub(crate) fn place_predictive(
                     continue;
                 };
                 let extra = (max_slice.min(slice_target) - slice).min(remaining);
-                if extra < config.min_slice_gb.max(config.partition_gb) {
+                if extra < min_extra {
                     continue;
                 }
                 let new_need =

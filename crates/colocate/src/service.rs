@@ -33,8 +33,8 @@ use crate::harness::{BaselineCache, ChaosSpec, RunConfig};
 use crate::metrics::percentiles;
 use crate::profiling::{profile_app, AppProfile, ProfilingCost};
 use crate::scheduler::{
-    apply_fault, build_predictor, effective_margin, executor_target, force_place, note_completion,
-    place, process_revocations, resolve_ooms, AppRt, FaultStats, NextSeed, PolicyKind, ResilState,
+    apply_fault, build_predictor, effective_margin, force_place, note_completion, place,
+    process_revocations, resolve_ooms, AppRt, FaultStats, NextSeed, PolicyKind, ResilState,
     ResilienceConfig, SchedulerConfig,
 };
 use crate::training::TrainedSystem;
@@ -43,6 +43,7 @@ use simkit::arrivals::{ArrivalPlan, ArrivalPlanConfig, ArrivalProcess};
 use simkit::faults::FaultPlan;
 use simkit::stats::TimeWeighted;
 use simkit::{par, SimRng, SimTime};
+use sparklite::dynalloc;
 use sparklite::engine::ClusterEngine;
 use sparklite::NodeId;
 use std::collections::{HashMap, VecDeque};
@@ -407,12 +408,12 @@ fn online_ram_gb(engine: &ClusterEngine, node_ids: &[NodeId]) -> f64 {
 /// predicted need at the dynalloc slice, margins applied, times the
 /// executor target. Deliberately pessimistic — the gate protects the
 /// cluster, the placement loop still packs tighter than this.
-fn admission_need_gb(app: &AppRt, engine: &ClusterEngine, config: &SchedulerConfig) -> f64 {
+fn admission_need_gb(app: &AppRt, config: &SchedulerConfig) -> f64 {
     let Some(prediction) = &app.prediction else {
         return 0.0;
     };
-    let (target, input_gb) = executor_target(engine, app.engine_id, config);
-    let slice = input_gb / target as f64;
+    let target = app.exec_target;
+    let slice = app.input_gb / target as f64;
     prediction.model.footprint_gb(slice)
         * app.pred_scale
         * effective_margin(app, config)
@@ -579,6 +580,12 @@ pub(crate) fn run_loop(
         };
         let mut spec = bench.app_spec(input, sched.profiling.footprint_noise_sd);
         spec.rate_gb_per_s *= rate_penalty;
+        let exec_target = dynalloc::executors_for(
+            &spec,
+            sched.cluster.nodes,
+            sched.cluster.node.ram_gb,
+            sched.dynalloc,
+        );
         let engine_id = engine.submit(spec);
 
         // A non-predictive policy has no model to profile for: the job is
@@ -638,6 +645,7 @@ pub(crate) fn run_loop(
             finished_at: None,
             profiling: cost,
             input_gb: input,
+            exec_target,
             pred_scale: 1.0,
             err_ewma: 1.0,
             failures: 0,
@@ -820,7 +828,7 @@ pub(crate) fn run_loop(
                 if eligible.iter().any(|&i| jobs[i].vft < jobs[head].vft) {
                     audit.wfq_order_violations += 1;
                 }
-                let need = admission_need_gb(&apps[head], &engine, sched);
+                let need = admission_need_gb(&apps[head], sched);
                 let headroom = admission.headroom_frac * online_ram_gb(&engine, &node_ids);
                 // Recomputing the committed sum from the live bookings
                 // keeps it exactly zero once everything admitted has
