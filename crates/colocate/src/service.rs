@@ -247,7 +247,6 @@ struct JobState {
     vft: f64,
     /// Predicted footprint booked against the headroom budget.
     committed_gb: f64,
-    released: bool,
 }
 
 /// Circuit-breaker state machine.
@@ -659,7 +658,6 @@ pub(crate) fn run_loop(
             profile_ready: ready,
             vft: 0.0,
             committed_gb: 0.0,
-            released: false,
         });
     }
     // One batched prediction over every planned job: the MoE serves it
@@ -789,7 +787,7 @@ pub(crate) fn run_loop(
         }
 
         // 3. Mark finishes and release their committed headroom.
-        mark_finished(&mut apps, &mut jobs, &mut live, &engine, t);
+        mark_finished(&mut apps, &jobs, &mut live, &engine, t);
 
         // 4. Breaker recovery with hysteresis: after the cooldown the
         //    breaker closes only if the window has drained below the
@@ -854,7 +852,7 @@ pub(crate) fn run_loop(
                 }
                 let in_flight = live
                     .iter()
-                    .filter(|&&i| jobs[i].admitted_at.is_some() && !jobs[i].released)
+                    .filter(|&&i| jobs[i].admitted_at.is_some())
                     .count();
                 if in_flight > 1 && now_committed > headroom {
                     audit.overbook_events += 1;
@@ -903,7 +901,7 @@ pub(crate) fn run_loop(
         // 7. Mark finishes again (profiling credit alone can finish an
         //    app) and terminate once the plan is drained and every
         //    surviving job is done.
-        mark_finished(&mut apps, &mut jobs, &mut live, &engine, t);
+        mark_finished(&mut apps, &jobs, &mut live, &engine, t);
         if arrivals.remaining() == 0 && live.is_empty() {
             break;
         }
@@ -1079,27 +1077,26 @@ fn pick_shed_victim(jobs: &[JobState], live: &[usize], rng: Option<&mut SimRng>)
 }
 
 /// Marks every live application the engine reports finished (never
-/// before it became ready), releases the committed headroom of finished
-/// admitted jobs and drops them from `live`. Profiling credit alone can
-/// finish a small job before admission grants it a ready time; such a job
-/// books nothing and is done once its profiling is.
+/// before it became ready) and drops it from `live`, which releases its
+/// committed headroom. Profiling credit alone can finish a small job
+/// before admission grants it a ready time; such a job books nothing and
+/// is done once its profiling is.
 fn mark_finished(
     apps: &mut [AppRt],
-    jobs: &mut [JobState],
+    jobs: &[JobState],
     live: &mut Vec<usize>,
     engine: &ClusterEngine,
     t: f64,
 ) {
     live.retain(|&i| {
-        let (app, job) = (&mut apps[i], &mut jobs[i]);
+        let app = &mut apps[i];
         if !engine.app(app.engine_id).is_finished() {
             return true;
         }
-        let ready = if job.admitted_at.is_some() {
-            job.released = true;
+        let ready = if jobs[i].admitted_at.is_some() {
             app.ready_at
         } else {
-            job.profile_ready
+            jobs[i].profile_ready
         };
         app.finished_at = Some(t.max(ready));
         false
@@ -1107,12 +1104,12 @@ fn mark_finished(
 }
 
 /// Predicted footprint currently booked against the headroom budget: the
-/// sum over admitted-but-unfinished jobs, all of them live. Recomputed
-/// from scratch so it is exactly `0.0` whenever nothing is in flight.
+/// sum over admitted live (so unfinished) jobs. Recomputed from scratch
+/// so it is exactly `0.0` whenever nothing is in flight.
 fn committed_gb(jobs: &[JobState], live: &[usize]) -> f64 {
     live.iter()
         .map(|&i| &jobs[i])
-        .filter(|j| j.admitted_at.is_some() && !j.released)
+        .filter(|j| j.admitted_at.is_some())
         .map(|j| j.committed_gb)
         .sum()
 }
