@@ -998,10 +998,8 @@ fn cpu_guard(
     load.max(monitor.windowed_cpu(node).min(load + 0.15))
 }
 
-/// Ranks the online, unquarantined `nodes` by free memory, most first.
-/// Offline and quarantined nodes are filtered out BEFORE ranking; the
-/// stable sort over the survivors keeps `nodes` order among equal keys.
-/// `nodes` is in id order, so the ranking is ordered by [`rank_order`].
+/// Ranks the online, unquarantined `nodes` by [`rank_order`]. Offline
+/// and quarantined nodes are filtered out BEFORE ranking.
 fn rank_nodes(
     ranked: &mut Vec<(NodeId, f64)>,
     engine: &ClusterEngine,
@@ -1009,7 +1007,6 @@ fn rank_nodes(
     nodes: &[NodeId],
     t: f64,
 ) {
-    debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]));
     ranked.clear();
     ranked.extend(
         nodes
@@ -1018,16 +1015,18 @@ fn rank_nodes(
             .filter(|&n| engine.node_online(n) && resil.quarantined_until[n.index()] <= t)
             .map(|n| (n, engine.node_free_memory(n))),
     );
-    ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
+    ranked.sort_unstable_by(rank_order);
 }
 
-/// The order of a node ranking: free memory descending, then node id.
+/// The order of a node ranking: free memory descending (§4.3: spawn on
+/// servers that have spare memory), then node id — the order a stable
+/// sort by free memory over the id-ordered node list gives.
 fn rank_order(a: &(NodeId, f64), b: &(NodeId, f64)) -> Ordering {
     b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
 }
 
 /// Moves ranked `node` to its place after a spawn changed its free
-/// memory. No other node's key changed, so this yields the order a full
+/// memory. No other node's key changed, so this yields the order a fresh
 /// [`rank_nodes`] would.
 fn rerank_node(ranked: &mut Vec<(NodeId, f64)>, engine: &ClusterEngine, node: NodeId) {
     let Some(pos) = ranked.iter().position(|&(n, _)| n == node) else {
@@ -1068,7 +1067,7 @@ fn guard_floor(
 ///   a spawn changes a node's executor set and hence its CPU sum;
 /// * the free-memory ranking is built once; after a spawn only that node
 ///   moves ([`rerank_node`]). Online state and quarantine are fixed for
-///   the pass, so the order is the one a fresh stable sort would give;
+///   the pass, so the order is the one a fresh ranking would give;
 /// * an application whose CPU demand overflows the cap on top of the
 ///   lowest guard among nodes with a free executor slot is refused by
 ///   every node, so its node scan is skipped.
@@ -1251,8 +1250,7 @@ pub(crate) fn place_predictive(
     // not obtain another executor top up a running one where the node has
     // spare memory, avoiding a fresh executor's startup cost.
     if config.dynamic_adjustment {
-        // The live executors grouped by owner, built on first use: a
-        // stable sort by owner over the spawn-ordered executor set. An
+        // The live executors grouped by owner, built on first use. An
         // executor's slice changes only when it is extended, and each
         // app's turn ends at its first extension.
         let mut grouped = false;
@@ -1287,7 +1285,7 @@ pub(crate) fn place_predictive(
                         .executors_iter()
                         .map(|e| (e.app(), e.id(), e.node(), e.slice_gb())),
                 );
-                owned.sort_by_key(|&(owner, _, _, _)| owner);
+                owned.sort_unstable_by_key(|&(owner, exec, _, _)| (owner, exec));
                 grouped = true;
             }
             // This app's executors, on the node with the most free memory
@@ -1308,7 +1306,7 @@ pub(crate) fn place_predictive(
                     })
                     .map(|&(_, e, node, _)| (e, node, engine.node_free_memory(node))),
             );
-            candidates.sort_by(|a, b| {
+            candidates.sort_unstable_by(|a, b| {
                 b.2.total_cmp(&a.2)
                     .then_with(|| a.1.cmp(&b.1))
                     .then_with(|| a.0.cmp(&b.0))
