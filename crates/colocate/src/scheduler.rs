@@ -770,9 +770,6 @@ pub(crate) struct PlaceScratch {
     /// CPU-guard value per node index (see [`cpu_guard`]), filled for the
     /// ranked nodes.
     guard: Vec<f64>,
-    /// Live executors as `(owner, executor, node, slice GB)`, grouped by
-    /// owner.
-    owned: Vec<(AppId, sparklite::ExecutorId, NodeId, f64)>,
     /// Dynamic-adjustment candidates: `(executor, node, free memory)`.
     candidates: Vec<(sparklite::ExecutorId, NodeId, f64)>,
 }
@@ -1072,9 +1069,8 @@ fn guard_floor(
 ///   lowest guard among nodes with a free executor slot is refused by
 ///   every node, so its node scan is skipped.
 ///
-/// Dynamic adjustment groups the live executors by owner once per pass;
-/// it extends executors but never spawns or kills one, and it skips
-/// executors too close to their share to ever be topped up.
+/// Dynamic adjustment skips executors too close to their share to ever
+/// be topped up.
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
 pub(crate) fn place_predictive(
     engine: &mut ClusterEngine,
@@ -1091,7 +1087,6 @@ pub(crate) fn place_predictive(
     let PlaceScratch {
         ranked,
         guard,
-        owned,
         candidates,
     } = scratch;
     let mut abstain_placements = 0usize;
@@ -1250,10 +1245,6 @@ pub(crate) fn place_predictive(
     // not obtain another executor top up a running one where the node has
     // spare memory, avoiding a fresh executor's startup cost.
     if config.dynamic_adjustment {
-        // The live executors grouped by owner, built on first use. An
-        // executor's slice changes only when it is extended, and each
-        // app's turn ends at its first extension.
-        let mut grouped = false;
         let min_extra = config.min_slice_gb.max(config.partition_gb);
         for app in live.iter().map(|&i| &apps[i]) {
             if app.ready_at.max(app.retry_at) > t || app.isolated_fallback {
@@ -1278,33 +1269,22 @@ pub(crate) fn place_predictive(
             // slice by an earlier memory shortage — it must not serialise
             // work that future executors would process in parallel.
             let slice_target = app.input_gb / app.exec_target as f64;
-            if !grouped {
-                owned.clear();
-                owned.extend(
-                    engine
-                        .executors_iter()
-                        .map(|e| (e.app(), e.id(), e.node(), e.slice_gb())),
-                );
-                owned.sort_unstable_by_key(|&(owner, exec, _, _)| (owner, exec));
-                grouped = true;
-            }
             // This app's executors, on the node with the most free memory
             // first; free memory is read at this app's turn, after earlier
             // apps' extensions. The (node, id) tie-break makes the order
-            // total, so it does not depend on the grouping's order. An
-            // executor within `min_extra` of its share is left out: its
-            // extra input is at most `slice_target - slice`, so it could
-            // never be topped up.
-            let lo = owned.partition_point(|&(owner, _, _, _)| owner < id);
-            let hi = owned.partition_point(|&(owner, _, _, _)| owner <= id);
+            // total. An executor within `min_extra` of its share is left
+            // out: its extra input is at most `slice_target - slice`, so it
+            // could never be topped up.
             candidates.clear();
             candidates.extend(
-                owned[lo..hi]
-                    .iter()
-                    .filter(|&&(_, _, _, slice)| {
-                        (slice_target - slice).partial_cmp(&min_extra) != Some(Ordering::Less)
+                engine
+                    .executors_iter()
+                    .filter(|e| {
+                        e.app() == id
+                            && (slice_target - e.slice_gb()).partial_cmp(&min_extra)
+                                != Some(Ordering::Less)
                     })
-                    .map(|&(_, e, node, _)| (e, node, engine.node_free_memory(node))),
+                    .map(|e| (e.id(), e.node(), engine.node_free_memory(e.node()))),
             );
             candidates.sort_unstable_by(|a, b| {
                 b.2.total_cmp(&a.2)
